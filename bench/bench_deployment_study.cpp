@@ -13,9 +13,7 @@
 #include <cstring>
 
 #include "algorithms/gca.hpp"
-#include "core/codec.hpp"
 #include "energy/meter.hpp"
-#include "net/client.hpp"
 #include "sensing/device.hpp"
 #include "sensing/scheduler.hpp"
 #include "sensing/scheduler_reference.hpp"
@@ -499,11 +497,11 @@ int main(int argc, char** argv) {
         chaos_zero_lost && entry.evicted == 0 && entry.pending == 0;
   }
 
-  // --- Cache sweep: the same study with the content-addressed caches off
-  // vs on. Equivalence is the headline assertion — the science results and
-  // the cloud content digest must be byte-identical either way (caching
-  // only removes work) — while cloud_requests_total and the recluster
-  // counters collapse with the caches engaged.
+  // --- Cache sweep: the same study with the device GCA cache off vs on.
+  // Equivalence is the headline assertion — the science results and the
+  // cloud content digest must be byte-identical either way (caching only
+  // removes work) — while cloud_requests_total and the recluster counters
+  // drop with the cache engaged.
   struct CacheEntry {
     bool cache = false;
     double wall_s = 0;
@@ -513,15 +511,9 @@ int main(int argc, char** argv) {
     std::uint64_t device_reclusters = 0;   ///< core_recluster_total
     std::uint64_t cloud_reclusters = 0;    ///< core_recluster_incremental_total
     std::uint64_t local_hits = 0;
-    std::uint64_t cloud_hits = 0;
     std::uint64_t recomputes = 0;
     std::uint64_t misses = 0;
-    std::uint64_t not_modified = 0;
-    std::uint64_t bytes_saved = 0;
-    std::uint64_t evictions = 0;
   };
-  const char* const cache_names[] = {"pms_gca", "cloud_gca", "cloud_analytics",
-                                     "net_conditional"};
   std::vector<CacheEntry> cache_sweep;
   for (const bool cache_on : {false, true}) {
     telemetry::registry().reset();
@@ -540,105 +532,20 @@ int main(int argc, char** argv) {
     entry.cloud_requests = reg.family_total("cloud_requests_total");
     entry.device_reclusters = reg.family_total("core_recluster_total");
     entry.cloud_reclusters = reg.family_total("core_recluster_incremental_total");
-    const auto outcome_total = [&](const char* outcome) {
-      std::uint64_t n = 0;
-      for (const char* name : cache_names)
-        if (const auto* c = reg.find_counter(
-                "cache_outcomes_total", {{"cache", name}, {"outcome", outcome}}))
-          n += static_cast<std::uint64_t>(c->value());
-      return n;
+    const auto outcome_total = [&](const char* outcome) -> std::uint64_t {
+      const auto* c = reg.find_counter(
+          "cache_outcomes_total", {{"cache", "pms_gca"}, {"outcome", outcome}});
+      return c ? static_cast<std::uint64_t>(c->value()) : 0;
     };
     entry.local_hits = outcome_total("local_hit");
-    entry.cloud_hits = outcome_total("cloud_hit");
     entry.recomputes = outcome_total("recompute");
     entry.misses = outcome_total("miss");
-    entry.not_modified = reg.family_total("net_not_modified_total");
-    entry.bytes_saved = reg.family_total("net_bytes_saved_total");
-    entry.evictions = reg.family_total("cache_evictions_total");
     cache_sweep.push_back(entry);
   }
   cache_sweep.back().matches_off =
       cache_sweep.back().digest == cache_sweep.front().digest;
   cache_sweep.front().matches_off = true;
   const bool cache_equivalent = cache_sweep.back().matches_off;
-
-  // --- Conditional-transfer microbenchmarks: the effects the study only
-  // shows in aggregate, isolated. (a) A read-heavy client re-fetching the
-  // same resources: after the first fetch every GET revalidates via
-  // If-None-Match and moves a bodyless 304 instead of the representation.
-  // (b) A device re-uploading an unchanged movement graph: the cloud
-  // recognizes the digest and skips the clustering wholesale.
-  struct ConditionalBench {
-    int gets = 0;
-    std::uint64_t not_modified = 0;
-    std::uint64_t bytes_saved = 0;
-    int discover_posts = 0;
-    std::uint64_t discover_cloud_hits = 0;
-    std::uint64_t reclusters = 0;
-  } conditional;
-  {
-    telemetry::registry().reset();
-    cloud::CloudInstance micro_cloud(cloud::CloudConfig{},
-                                     cloud::GeoLocationService({}), Rng(7));
-    net::RestClient micro_client(&micro_cloud.router(),
-                                 net::NetworkConditions{}, Rng(8));
-    micro_client.set_cache_policy({true, 64});
-    Json reg_body = Json::object();
-    reg_body.set("imei", "358240050000001");
-    reg_body.set("email", "cachebench@study.pmware.org");
-    net::HttpRequest reg_req;
-    reg_req.method = net::Method::Post;
-    reg_req.path = "/api/register";
-    reg_req.body = std::move(reg_body);
-    const net::HttpResponse reg_res = micro_client.send(reg_req);
-    micro_client.set_auth_token(reg_res.body.at("token").as_string());
-    const std::string user =
-        std::to_string(reg_res.body.at("user").as_int());
-
-    // Seed one place and one profile, then hammer the GETs.
-    net::HttpRequest put;
-    put.method = net::Method::Put;
-    put.path = "/api/users/" + user + "/places/1";
-    put.body = core::to_json(core::PlaceRecord{});
-    micro_client.send(put);
-    const int kGetRounds = 50;
-    for (int i = 0; i < kGetRounds; ++i) {
-      net::HttpRequest get;
-      get.method = net::Method::Get;
-      get.path = "/api/users/" + user + "/places";
-      micro_client.send(get);
-      ++conditional.gets;
-    }
-    conditional.not_modified = micro_client.stats().not_modified;
-    conditional.bytes_saved = micro_client.stats().bytes_saved;
-
-    // Re-upload an identical movement graph: one recluster, then hits.
-    const auto day_obs = synthetic_day(0);
-    Json observations = Json::array();
-    for (const auto& obs : day_obs) {
-      Json o = Json::object();
-      o.set("t", static_cast<std::int64_t>(obs.t));
-      o.set("cell", core::to_json(obs.cell));
-      observations.push_back(std::move(o));
-    }
-    const int kDiscoverRounds = 20;
-    for (int i = 0; i < kDiscoverRounds; ++i) {
-      net::HttpRequest discover;
-      discover.method = net::Method::Post;
-      discover.path = "/api/places/discover";
-      discover.body = Json::object();
-      Json obs_copy = observations;
-      discover.body.set("observations", std::move(obs_copy));
-      micro_client.send(discover);
-      ++conditional.discover_posts;
-    }
-    const auto& reg = telemetry::registry();
-    if (const auto* c = telemetry::registry().find_counter(
-            "cache_outcomes_total",
-            {{"cache", "cloud_gca"}, {"outcome", "cloud_hit"}}))
-      conditional.discover_cloud_hits = static_cast<std::uint64_t>(c->value());
-    conditional.reclusters = reg.family_total("core_recluster_incremental_total");
-  }
 
   // World geometry for the Figure-5b map (same config -> same world).
   study::DeploymentStudy study(config);
@@ -779,35 +686,20 @@ int main(int argc, char** argv) {
 
   // --- Cache-sweep report: equal digests with collapsed request/recluster
   // counts is the subsystem working as designed.
-  std::printf("\n--- cache sweep (content-addressed caches, results "
-              "identical: %s) ---\n",
+  std::printf("\n--- cache sweep (device GCA cache, results identical: "
+              "%s) ---\n",
               cache_equivalent ? "yes" : "NO");
-  std::printf("%6s %8s %10s %10s %10s %8s %8s %8s %8s %6s %10s\n", "cache",
-              "wall s", "cloud req", "dev recl", "cloud recl", "lhit", "chit",
-              "recomp", "miss", "304s", "bytes save");
+  std::printf("%6s %8s %10s %10s %10s %8s %8s %8s\n", "cache", "wall s",
+              "cloud req", "dev recl", "cloud recl", "lhit", "recomp", "miss");
   for (const auto& entry : cache_sweep)
-    std::printf("%6s %8.2f %10llu %10llu %10llu %8llu %8llu %8llu %8llu "
-                "%6llu %10llu\n",
+    std::printf("%6s %8.2f %10llu %10llu %10llu %8llu %8llu %8llu\n",
                 entry.cache ? "on" : "off", entry.wall_s,
                 static_cast<unsigned long long>(entry.cloud_requests),
                 static_cast<unsigned long long>(entry.device_reclusters),
                 static_cast<unsigned long long>(entry.cloud_reclusters),
                 static_cast<unsigned long long>(entry.local_hits),
-                static_cast<unsigned long long>(entry.cloud_hits),
                 static_cast<unsigned long long>(entry.recomputes),
-                static_cast<unsigned long long>(entry.misses),
-                static_cast<unsigned long long>(entry.not_modified),
-                static_cast<unsigned long long>(entry.bytes_saved));
-  std::printf("  conditional GET microbench: %d GETs -> %llu not-modified, "
-              "%llu body bytes never moved\n",
-              conditional.gets,
-              static_cast<unsigned long long>(conditional.not_modified),
-              static_cast<unsigned long long>(conditional.bytes_saved));
-  std::printf("  repeat-discover microbench: %d identical uploads -> %llu "
-              "served from cache, %llu reclusters\n",
-              conditional.discover_posts,
-              static_cast<unsigned long long>(conditional.discover_cloud_hits),
-              static_cast<unsigned long long>(conditional.reclusters));
+                static_cast<unsigned long long>(entry.misses));
 
   // --- Scheduler dispatch report: run-generation batching vs the retired
   // per-sample heap path, plus the study-level scheduler.run flame
@@ -1106,9 +998,9 @@ int main(int argc, char** argv) {
       chaos_block.set("restore_wall_us", hist_json(restore_us));
       extra.set("chaos_sweep", std::move(chaos_block));
     }
-    // schema_version 5: cache-on vs cache-off equivalence digests, the
-    // request/recluster collapse, hit taxonomy, and the conditional-
-    // transfer microbenchmarks.
+    // schema_version 5 (cut to the device GCA cache in 10): cache-on vs
+    // cache-off equivalence digests, the request/recluster drop, and the
+    // pms_gca hit taxonomy.
     Json cache_block = Json::object();
     Json cache_runs = Json::array();
     for (const auto& entry : cache_sweep) {
@@ -1120,24 +1012,12 @@ int main(int argc, char** argv) {
       e.set("device_reclusters", entry.device_reclusters);
       e.set("cloud_reclusters", entry.cloud_reclusters);
       e.set("local_hits", entry.local_hits);
-      e.set("cloud_hits", entry.cloud_hits);
       e.set("recomputes", entry.recomputes);
       e.set("misses", entry.misses);
-      e.set("not_modified", entry.not_modified);
-      e.set("bytes_saved", entry.bytes_saved);
-      e.set("evictions", entry.evictions);
       cache_runs.push_back(std::move(e));
     }
     cache_block.set("runs", std::move(cache_runs));
     cache_block.set("identical_on_off", cache_equivalent);
-    Json micro = Json::object();
-    micro.set("gets", conditional.gets);
-    micro.set("not_modified", conditional.not_modified);
-    micro.set("bytes_saved", conditional.bytes_saved);
-    micro.set("discover_posts", conditional.discover_posts);
-    micro.set("discover_cloud_hits", conditional.discover_cloud_hits);
-    micro.set("reclusters", conditional.reclusters);
-    cache_block.set("conditional_microbench", std::move(micro));
     extra.set("cache_sweep", std::move(cache_block));
     // schema_version 6: the "scheduler_sweep" block — the run-generation
     // dispatch microbench and the before/after scheduler.run flame
@@ -1225,8 +1105,8 @@ int main(int argc, char** argv) {
       pop_block.set("runner", std::string("streaming"));
       extra.set("population_sweep", std::move(pop_block));
     }
-    // Telemetry in the dump is from the conditional-transfer microbench
-    // (the last section to reset the registry); the sweep blocks above
+    // Telemetry in the dump is from the last section to reset the
+    // registry (the population sweep's final rung); the sweep blocks above
     // carry their own per-run counters. The "timeseries" block
     // write_bench_json embeds is the recorder ring from the most recent
     // study run — one point per sim-day.

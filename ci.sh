@@ -89,8 +89,8 @@ run_suite build-werror "" -DPMWARE_WERROR=ON "$@"
 run_suite build-asan "" -DPMWARE_SANITIZE="address;undefined" "$@"
 # tsan cannot combine with asan; a third build runs just the tests that
 # exercise threads (everything else is single-threaded by design). The
-# Caching label rides along: the content caches sit on the concurrent
-# request path (shared shard write marks, per-cache mutexes). SchedulerPerf
+# Caching label rides along: its cache-on/off equivalence studies run the
+# device GCA cache across 8 worker threads and 16 shards. SchedulerPerf
 # races the batched dispatch loop and the device env cache under tsan.
 # Concurrency races the striped-counter / sharded-histogram / handle hot
 # paths; Alerting races the recorder + engine through the parallel study's
@@ -101,7 +101,7 @@ run_suite build-asan "" -DPMWARE_SANITIZE="address;undefined" "$@"
 run_suite build-tsan "-L Sharding|Caching|SchedulerPerf|Concurrency|Alerting|Population|Lifecycle" -DPMWARE_SANITIZE="thread" "$@"
 # Chaos leg: the fault-injection / outbox / circuit-breaker battery again
 # under asan+ubsan, isolated so failures point straight at the recovery
-# machinery, plus the cache battery (conditional transfer under faults,
+# machinery, plus the cache battery (the cached study under an outage plan,
 # digest invalidation) and the alerting battery (rule evaluation over the
 # failure counters those faults drive). Reuses the sanitized build above.
 # Population rides along so the bounded-memory guarantee is asserted under

@@ -29,8 +29,11 @@
 // same grammar; --churn exists so a chaos schedule can be layered onto a
 // wire-fault plan without editing one combined spec.
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -67,6 +70,18 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses a whole decimal unsigned 64-bit argument; false on an empty or
+/// signed argument, trailing characters, or overflow.
+bool parse_u64(const char* text, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -91,8 +106,7 @@ int main(int argc, char** argv) {
       config.days = std::atoi(v);
     } else if (arg == "--seed") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!v || !parse_u64(v, config.seed)) return usage(argv[0]);
     } else if (arg == "--threads") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -328,30 +342,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Caching digest: the ccache-style hit taxonomy per cache instance,
-  // plus what the conditional-GET cache saved on the wire.
-  const auto outcome_total = [&](const char* cache,
-                                 const char* outcome) -> unsigned long long {
+  // --- Caching digest: the device GCA cache's hit taxonomy.
+  const auto outcome_total = [&](const char* outcome) -> unsigned long long {
     const auto* c = reg.find_counter(
-        "cache_outcomes_total", {{"cache", cache}, {"outcome", outcome}});
+        "cache_outcomes_total", {{"cache", "pms_gca"}, {"outcome", outcome}});
     return c ? static_cast<unsigned long long>(c->value()) : 0;
   };
   std::printf("\n--- caching (%s) ---\n", config.cache ? "on" : "off");
-  for (const char* cache :
-       {"pms_gca", "cloud_gca", "cloud_analytics", "net_conditional"}) {
-    std::printf("  %-16s local_hit %llu, cloud_hit %llu, recompute %llu, "
-                "miss %llu\n",
-                cache, outcome_total(cache, "local_hit"),
-                outcome_total(cache, "cloud_hit"),
-                outcome_total(cache, "recompute"),
-                outcome_total(cache, "miss"));
-  }
-  std::printf("  conditional GETs:  %llu not-modified, %llu body bytes "
-              "saved\n",
-              static_cast<unsigned long long>(
-                  reg.family_total("net_not_modified_total")),
-              static_cast<unsigned long long>(
-                  reg.family_total("net_bytes_saved_total")));
+  std::printf("  %-16s local_hit %llu, recompute %llu, miss %llu\n",
+              "pms_gca", outcome_total("local_hit"),
+              outcome_total("recompute"), outcome_total("miss"));
 
   // --- JSON report ---
   Json report = Json::object();

@@ -1,9 +1,8 @@
-// Content-addressing primitives shared by every cache in the middleware:
-// FNV-1a over byte strings and the boost-style 64-bit fold for structured
-// values. One definition instead of the per-module copies that used to
-// live in core/pms.cpp and cloud/storage.cpp — cache keys on both sides of
-// the wire must derive identically or conditional transfer and offload
-// caching silently degrade to 100% misses.
+// Content-addressing primitives shared by device and cloud: FNV-1a over
+// byte strings and the boost-style 64-bit fold for structured values. One
+// definition instead of per-module copies — the movement digest must derive
+// identically on both sides of the wire, or every suffix-upload prefix
+// claim would be refused.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,14 @@
-#include "cache/content_cache.hpp"
+#include "cache/outcome.hpp"
 
 #include "telemetry/metrics.hpp"
 
 namespace pmware::cache {
+namespace {
 
 const char* to_string(CacheOutcome outcome) {
   switch (outcome) {
     case CacheOutcome::LocalHit:
       return "local_hit";
-    case CacheOutcome::CloudHit:
-      return "cloud_hit";
     case CacheOutcome::Recompute:
       return "recompute";
     case CacheOutcome::Miss:
@@ -18,18 +17,13 @@ const char* to_string(CacheOutcome outcome) {
   return "unknown";
 }
 
+}  // namespace
+
 void record_outcome(const std::string& cache_name, CacheOutcome outcome) {
   telemetry::registry()
       .counter("cache_outcomes_total",
                {{"cache", cache_name}, {"outcome", to_string(outcome)}},
-               "Content-cache lookups by ccache-style outcome taxonomy")
-      .inc();
-}
-
-void record_eviction(const std::string& cache_name) {
-  telemetry::registry()
-      .counter("cache_evictions_total", {{"cache", cache_name}},
-               "Content-cache entries evicted by the LRU capacity bound")
+               "cache lookups by outcome: local_hit, recompute or miss")
       .inc();
 }
 

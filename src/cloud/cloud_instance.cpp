@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "algorithms/gca.hpp"
-#include "cache/etag.hpp"
+#include "cache/digest.hpp"
 #include "core/codec.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/export.hpp"
@@ -23,11 +23,6 @@ using net::PathParams;
 
 namespace {
 
-/// Metric-series names of the two cloud-side content caches.
-constexpr const char* kGcaCacheName = "cloud_gca";
-constexpr const char* kAnalyticsCacheName = "cloud_analytics";
-constexpr std::size_t kAnalyticsCacheCapacity = 1024;
-
 /// The registration session the request claims to act under (0 if absent).
 std::uint64_t request_session(const HttpRequest& request) {
   const auto it = request.headers.find(net::kSessionHeader);
@@ -44,11 +39,6 @@ CloudInstance::CloudInstance(CloudConfig config, GeoLocationService geoloc,
       tokens_(rng, config.token_ttl),
       storage_(config.shards),
       analytics_(&storage_) {
-  if (config_.cache) {
-    analytics_cache_ =
-        std::make_unique<cache::ContentCache<std::string, CachedResponse>>(
-            kAnalyticsCacheName, kAnalyticsCacheCapacity);
-  }
   register_routes();
   // Per-route request counters and handler-cost histograms. Patterns (not
   // concrete paths) label the series, so cardinality stays bounded by the
@@ -113,54 +103,6 @@ std::optional<world::DeviceId> CloudInstance::authed_user(
   constexpr const char* kPrefix = "Bearer ";
   if (value.rfind(kPrefix, 0) != 0) return std::nullopt;
   return tokens_.validate(value.substr(7), request_time(request));
-}
-
-HttpResponse CloudInstance::conditional(const HttpRequest& request,
-                                        HttpResponse response) {
-  if (!response.ok()) return response;
-  // Strong ETag over the serialized body: valid because these responses
-  // are pure functions of the last writes (the place PUT/GET purity
-  // regression test pins the riskiest case).
-  const std::string etag = cache::strong_etag(response.body.dump());
-  response.headers[net::kETagHeader] = etag;
-  const auto inm = request.headers.find(net::kIfNoneMatchHeader);
-  if (inm == request.headers.end() || !cache::etag_matches(inm->second, etag))
-    return response;
-  HttpResponse not_modified;
-  not_modified.status = net::kStatusNotModified;  // body stays null
-  not_modified.headers[net::kETagHeader] = etag;
-  return not_modified;
-}
-
-HttpResponse CloudInstance::analytics_cached(
-    const HttpRequest& request, world::DeviceId user, bool time_sensitive,
-    const std::function<HttpResponse()>& compute) {
-  if (!analytics_cache_) return compute();
-  std::string key = request.path;
-  for (const auto& [k, v] : request.query) {
-    key += '&';
-    key += k;
-    key += '=';
-    key += v;
-  }
-  if (time_sensitive) {
-    key += "@t";
-    key += std::to_string(request_time(request));
-  }
-  // Sample the mark BEFORE computing: if a write lands mid-compute its
-  // note_write makes the current mark newer than this tag, so a possibly
-  // half-updated result can be cached but never served again.
-  const std::uint64_t version = storage_.write_mark(user);
-  auto found = analytics_cache_->lookup(key, version);
-  if (found.value) {
-    analytics_cache_->record(cache::CacheOutcome::CloudHit);
-    return HttpResponse::json(found.value->body, found.value->status);
-  }
-  analytics_cache_->record(found.stale ? cache::CacheOutcome::Recompute
-                                       : cache::CacheOutcome::Miss);
-  HttpResponse response = compute();
-  analytics_cache_->put(key, {response.status, response.body}, version);
-  return response;
 }
 
 std::optional<HttpResponse> CloudInstance::require_user(
@@ -417,17 +359,6 @@ void CloudInstance::register_routes() {
         locked->gca_log = std::move(observations);
         locked->gca_log_digest = core::movement_digest(locked->gca_log);
       }
-      // Content-addressed elision: the digest of the movement graph is
-      // derived HERE from the retained stream, never sent as a cache key on
-      // the wire. The stream is append-only, so an equal digest means an
-      // identical graph and the remembered response (byte-identical by
-      // construction) short-circuits the clustering.
-      const std::uint64_t digest = locked->gca_log_digest;
-      if (config_.cache && locked->gca_response_digest == digest) {
-        cache::record_outcome(kGcaCacheName, cache::CacheOutcome::CloudHit);
-        return HttpResponse::json(locked->gca_response);
-      }
-      const bool had_cached = locked->gca_response_digest.has_value();
       const algorithms::GcaResult result = locked->gca.run(locked->gca_log);
       Json places = Json::array();
       for (const auto& cluster : result.places) {
@@ -448,13 +379,6 @@ void CloudInstance::register_routes() {
       body = Json::object();
       body.set("places", std::move(places));
       body.set("visits", std::move(visits));
-      if (config_.cache) {
-        cache::record_outcome(kGcaCacheName,
-                              had_cached ? cache::CacheOutcome::Recompute
-                                         : cache::CacheOutcome::Miss);
-        locked->gca_response_digest = digest;
-        locked->gca_response = body;
-      }
     }
     return HttpResponse::json(std::move(body));
   });
@@ -472,7 +396,7 @@ void CloudInstance::register_routes() {
     }
     Json body = Json::object();
     body.set("places", std::move(arr));
-    return conditional(req, HttpResponse::json(std::move(body)));
+    return HttpResponse::json(std::move(body));
   });
 
   router_.add_route(Method::Put, "/api/users/:id/places/:uid",
@@ -487,7 +411,6 @@ void CloudInstance::register_routes() {
     if (!record.location)
       record.location = geoloc_.locate_signature(record.signature);
     storage_.locked_user(user)->places[record.uid] = record;
-    storage_.note_write(user);
     Json body = Json::object();
     body.set("uid", static_cast<std::uint64_t>(record.uid));
     // Echo the resolved position so the mobile service can cache it locally
@@ -511,7 +434,6 @@ void CloudInstance::register_routes() {
         return HttpResponse::error(net::kStatusNotFound, "unknown place");
       it->second.label = req.body.get_string("label", "");
     }
-    storage_.note_write(user);
     return HttpResponse::json(Json::object());
   });
 
@@ -526,7 +448,6 @@ void CloudInstance::register_routes() {
     profile.day = day;
     profile.user = user;
     storage_.locked_user(user)->profiles[day] = std::move(profile);
-    storage_.note_write(user);
     return HttpResponse::json(Json::object(), net::kStatusCreated);
   });
 
@@ -540,7 +461,7 @@ void CloudInstance::register_routes() {
     const auto it = profiles.find(day);
     if (it == profiles.end())
       return HttpResponse::error(net::kStatusNotFound, "no profile for day");
-    return conditional(req, HttpResponse::json(core::to_json(it->second)));
+    return HttpResponse::json(core::to_json(it->second));
   });
 
   // --- Routes API ---
@@ -578,7 +499,7 @@ void CloudInstance::register_routes() {
     {
       const auto locked = storage_.locked_user(user);
       if (has_seq && seq < locked->route_seq_high_water) {
-        // Already applied — nothing changed, so no write-mark bump either.
+        // Already applied — nothing changed.
         Json body = Json::object();
         body.set("duplicate", true);
         return HttpResponse::json(std::move(body));
@@ -587,7 +508,6 @@ void CloudInstance::register_routes() {
       if (has_seq)
         locked->route_seq_high_water = seq + 1;
     }
-    storage_.note_write(user);
     Json body = Json::object();
     body.set("route_uid", static_cast<std::uint64_t>(uid));
     return HttpResponse::json(std::move(body), net::kStatusCreated);
@@ -621,7 +541,7 @@ void CloudInstance::register_routes() {
     }
     Json body = Json::object();
     body.set("routes", std::move(arr));
-    return conditional(req, HttpResponse::json(std::move(body)));
+    return HttpResponse::json(std::move(body));
   });
 
   // --- Social contacts API ---
@@ -653,9 +573,6 @@ void CloudInstance::register_routes() {
            static_cast<core::PlaceUid>(e.at("place").as_int()),
            e.at("start").as_int(), e.at("end").as_int()});
     }
-    // Bumped while still holding the shard lock: a reader that samples the
-    // new mark can only read state after this lock is released.
-    storage_.note_write(user);
     return HttpResponse::json(Json::object(), net::kStatusCreated);
   });
 
@@ -717,18 +634,16 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     const std::int64_t day = std::atoll(params.at("day").c_str());
-    return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
-      const auto locked = storage_.locked_user(user);
-      const auto& profiles = locked->profiles;
-      const auto it = profiles.find(day);
-      if (it == profiles.end() || it->second.activity.empty())
-        return HttpResponse::error(net::kStatusNotFound, "no activity for day");
-      Json body = Json::object();
-      body.set("still", it->second.activity.still);
-      body.set("walking", it->second.activity.walking);
-      body.set("vehicle", it->second.activity.vehicle);
-      return HttpResponse::json(std::move(body));
-    });
+    const auto locked = storage_.locked_user(user);
+    const auto& profiles = locked->profiles;
+    const auto it = profiles.find(day);
+    if (it == profiles.end() || it->second.activity.empty())
+      return HttpResponse::error(net::kStatusNotFound, "no activity for day");
+    Json body = Json::object();
+    body.set("still", it->second.activity.still);
+    body.set("walking", it->second.activity.walking);
+    body.set("vehicle", it->second.activity.vehicle);
+    return HttpResponse::json(std::move(body));
   });
 
   // --- Geo-location API (§2.3.3 "miscellaneous services") ---
@@ -757,13 +672,11 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     const auto uid = static_cast<core::PlaceUid>(
         std::atoll(params.at("uid").c_str()));
-    return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
-      const auto tod = analytics_.typical_arrival_tod(user, uid);
-      if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
-      Json body = Json::object();
-      body.set("typical_arrival_tod", *tod);
-      return HttpResponse::json(std::move(body));
-    });
+    const auto tod = analytics_.typical_arrival_tod(user, uid);
+    if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
+    Json body = Json::object();
+    body.set("typical_arrival_tod", *tod);
+    return HttpResponse::json(std::move(body));
   });
 
   router_.add_route(Method::Get, "/api/users/:id/analytics/next_visit/:uid",
@@ -772,17 +685,11 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     const auto uid = static_cast<core::PlaceUid>(
         std::atoll(params.at("uid").c_str()));
-    // Time-sensitive: the prediction depends on the request's sim-time, so
-    // the cache key carries it (same instant + unchanged shard = same
-    // answer; a new instant is a new entry).
-    return analytics_cached(req, user, /*time_sensitive=*/true, [&] {
-      const auto t =
-          analytics_.predict_next_visit(user, uid, request_time(req));
-      if (!t) return HttpResponse::error(net::kStatusNotFound, "no prediction");
-      Json body = Json::object();
-      body.set("predicted_at", *t);
-      return HttpResponse::json(std::move(body));
-    });
+    const auto t = analytics_.predict_next_visit(user, uid, request_time(req));
+    if (!t) return HttpResponse::error(net::kStatusNotFound, "no prediction");
+    Json body = Json::object();
+    body.set("predicted_at", *t);
+    return HttpResponse::json(std::move(body));
   });
 
   router_.add_route(Method::Get, "/api/users/:id/analytics/departure/:uid",
@@ -791,13 +698,11 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     const auto uid = static_cast<core::PlaceUid>(
         std::atoll(params.at("uid").c_str()));
-    return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
-      const auto tod = analytics_.typical_departure_tod(user, uid);
-      if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
-      Json body = Json::object();
-      body.set("typical_departure_tod", *tod);
-      return HttpResponse::json(std::move(body));
-    });
+    const auto tod = analytics_.typical_departure_tod(user, uid);
+    if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
+    Json body = Json::object();
+    body.set("typical_departure_tod", *tod);
+    return HttpResponse::json(std::move(body));
   });
 
   router_.add_route(Method::Get, "/api/users/:id/analytics/next_place/:uid",
@@ -806,14 +711,12 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     const auto uid = static_cast<core::PlaceUid>(
         std::atoll(params.at("uid").c_str()));
-    return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
-      const auto next = analytics_.predict_next_place(user, uid);
-      if (!next) return HttpResponse::error(net::kStatusNotFound, "no history");
-      Json body = Json::object();
-      body.set("place", static_cast<std::uint64_t>(next->place));
-      body.set("probability", next->probability);
-      return HttpResponse::json(std::move(body));
-    });
+    const auto next = analytics_.predict_next_place(user, uid);
+    if (!next) return HttpResponse::error(net::kStatusNotFound, "no history");
+    Json body = Json::object();
+    body.set("place", static_cast<std::uint64_t>(next->place));
+    body.set("probability", next->probability);
+    return HttpResponse::json(std::move(body));
   });
 
   router_.add_route(Method::Get, "/api/users/:id/analytics/frequency",
@@ -821,23 +724,21 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     const auto it = req.query.find("label");
-    return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
-      std::vector<core::PlaceUid> matching;
-      {
-        // Collect the matching uids and RELEASE the shard lock before
-        // asking the analytics engine: it re-enters the storage (visits_at)
-        // and the shard mutex is non-recursive.
-        const auto locked = storage_.locked_user(user);
-        for (const auto& [uid, record] : locked->places) {
-          if (it == req.query.end() || record.label == it->second)
-            matching.push_back(uid);
-        }
+    std::vector<core::PlaceUid> matching;
+    {
+      // Collect the matching uids and RELEASE the shard lock before
+      // asking the analytics engine: it re-enters the storage (visits_at)
+      // and the shard mutex is non-recursive.
+      const auto locked = storage_.locked_user(user);
+      for (const auto& [uid, record] : locked->places) {
+        if (it == req.query.end() || record.label == it->second)
+          matching.push_back(uid);
       }
-      Json body = Json::object();
-      body.set("visits_per_week",
-               analytics_.visit_frequency_per_week(user, matching));
-      return HttpResponse::json(std::move(body));
-    });
+    }
+    Json body = Json::object();
+    body.set("visits_per_week",
+             analytics_.visit_frequency_per_week(user, matching));
+    return HttpResponse::json(std::move(body));
   });
 }
 

@@ -13,11 +13,9 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 
-#include "cache/content_cache.hpp"
 #include "cloud/analytics.hpp"
 #include "cloud/geolocation.hpp"
 #include "cloud/storage.hpp"
@@ -45,13 +43,7 @@ struct CloudConfig {
   /// handlers, so a rejected request never mutates state — see
   /// net/fault.hpp and `FaultPlan::parse` for the --fault-plan grammar.
   net::FaultPlan fault_plan;
-  /// Server-side result caches (DESIGN.md "Content addressing & cache
-  /// coherence"): GCA offload responses keyed by movement-graph digest, and
-  /// analytics responses invalidated by the owning shard's write mark.
-  /// Cached responses are byte-identical to recomputed ones by design, so
-  /// disabling only trades work for none. ETag stamping on cacheable GETs
-  /// is always on (generation is one hash; 304s need a client that sends
-  /// If-None-Match).
+  /// Inert (the cloud caches nothing); kept only so perfbench/ compiles.
   bool cache = true;
 };
 
@@ -74,31 +66,10 @@ class CloudInstance {
   static constexpr const char* kSimTimeHeader = net::kSimTimeHeader;
 
  private:
-  /// One remembered analytics response: status + body (404 "no history" is
-  /// as deterministic a function of stored state as a 200).
-  struct CachedResponse {
-    int status = 0;
-    Json body;
-  };
-
   void register_routes();
 
   /// Current simulated time as reported by the caller (0 if absent).
   static SimTime request_time(const net::HttpRequest& request);
-
-  /// Stamps a strong ETag on a successful response and collapses it to a
-  /// bodyless 304 when the request's If-None-Match already names it.
-  static net::HttpResponse conditional(const net::HttpRequest& request,
-                                       net::HttpResponse response);
-
-  /// Serves an analytics GET through the shard-versioned result cache:
-  /// reuses the remembered response while the owning shard's write mark is
-  /// unchanged, otherwise runs `compute` and remembers its result. With
-  /// the cache disabled this is just `compute()`. `time_sensitive` keys
-  /// the entry by request sim-time too (predictions depend on "now").
-  net::HttpResponse analytics_cached(
-      const net::HttpRequest& request, world::DeviceId user,
-      bool time_sensitive, const std::function<net::HttpResponse()>& compute);
 
   /// Validates the bearer token; returns the authenticated user or nullopt.
   std::optional<world::DeviceId> authed_user(
@@ -124,10 +95,6 @@ class CloudInstance {
   TokenService tokens_;
   CloudStorage storage_;
   AnalyticsEngine analytics_;
-  /// Engaged iff config_.cache; entries versioned by the owning shard's
-  /// write mark at compute time.
-  std::unique_ptr<cache::ContentCache<std::string, CachedResponse>>
-      analytics_cache_;
   net::Router router_;
 };
 

@@ -112,11 +112,6 @@ CloudStorage& CloudStorage::operator=(const CloudStorage& other) {
     shards_[shard_of(id)].users[id] = std::move(store);
   for (const auto& [id, session] : tombstones)
     shards_[shard_of(id)].tombstones[id] = session;
-  // Wholesale replacement mutates every shard: advance the write marks so
-  // analytics cache entries tagged against the old content can never
-  // validate against the new.
-  for (Shard& shard : shards_)
-    shard.writes.fetch_add(1, std::memory_order_release);
   archived_.copy_from(other.archived_);
   return *this;
 }
@@ -224,7 +219,6 @@ bool CloudStorage::archive_user(world::DeviceId id) {
     users.erase(it);
     archived = true;
   }
-  note_write(id);
   telemetry::registry()
       .counter("cloud_users_archived_total", {},
                "users retired into the archived accumulators")
@@ -245,7 +239,6 @@ bool CloudStorage::erase_user(world::DeviceId id, std::uint64_t wipe_session) {
       tombstone = std::max(tombstone, wipe_session);
     }
   }
-  if (erased || tombstoned) note_write(id);
   if (tombstoned)
     telemetry::registry()
         .counter("cloud_wipe_tombstones_total", {},
@@ -270,24 +263,20 @@ std::uint64_t CloudStorage::tombstone_session(world::DeviceId id) const {
 }
 
 bool CloudStorage::erase_place(world::DeviceId id, core::PlaceUid place) {
-  bool existed = false;
-  {
-    const std::size_t s = shard_of(id);
-    const auto lock = lock_shard(s);
-    auto& users = shards_[s].users;
-    const auto it = users.find(id);
-    if (it == users.end()) return false;
-    existed = it->second.places.erase(place) > 0;
-    for (auto& [day, profile] : it->second.profiles) {
-      std::erase_if(profile.places, [place](const core::PlaceVisitEntry& e) {
-        return e.place == place;
-      });
-    }
-    std::erase_if(it->second.encounters, [place](const core::EncounterEntry& e) {
+  const std::size_t s = shard_of(id);
+  const auto lock = lock_shard(s);
+  auto& users = shards_[s].users;
+  const auto it = users.find(id);
+  if (it == users.end()) return false;
+  const bool existed = it->second.places.erase(place) > 0;
+  for (auto& [day, profile] : it->second.profiles) {
+    std::erase_if(profile.places, [place](const core::PlaceVisitEntry& e) {
       return e.place == place;
     });
   }
-  note_write(id);
+  std::erase_if(it->second.encounters, [place](const core::EncounterEntry& e) {
+    return e.place == place;
+  });
   return existed;
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "algorithms/gca.hpp"
@@ -46,17 +45,9 @@ struct UserStore {
   /// device stamps each route POST with its log index ("seq") and each
   /// encounter batch with its starting index ("first_index"); entries below
   /// the mark were already applied and are skipped on replay. Bookkeeping,
-  /// not content — excluded from content_digest() like the GCA cache.
+  /// not content — excluded from content_digest() like the GCA state.
   std::uint64_t route_seq_high_water = 0;
   std::uint64_t encounter_high_water = 0;
-  /// Offload response cache for POST /api/places/discover: the serialized
-  /// response body last computed, versioned by the movement-graph digest
-  /// of the request that produced it (core::movement_digest). The upload
-  /// is append-only, so an equal digest means an identical graph and the
-  /// clustering can be skipped wholesale. Derived state like the GCA cache
-  /// — excluded from content_digest().
-  std::optional<std::uint64_t> gca_response_digest;
-  Json gca_response;
   /// The observation stream fed to `gca` so far, retained server-side so
   /// the device can upload only the suffix each pass (POST
   /// /api/places/discover with prefix_len/prefix_digest): a mapping-change
@@ -123,10 +114,6 @@ class CloudStorage {
   /// Unsynchronized accessors for single-threaded callers (tests, examples,
   /// analytics fixtures). Never used on the concurrent request path.
   UserStore& user(world::DeviceId id) {
-    // Possibly mutating (tests build fixtures through it), so count it
-    // toward the shard's write mark — a stale analytics cache entry is
-    // worse than a spurious invalidation.
-    note_write(id);
     return shards_[shard_of(id)].users[id];
   }
   const UserStore* find_user(world::DeviceId id) const {
@@ -151,27 +138,11 @@ class CloudStorage {
   Stats stats() const;
 
   /// Order-independent digest of every user's stored content (places,
-  /// profiles, routes, encounters; the GCA cache is internal and excluded).
+  /// profiles, routes, encounters; the GCA state is internal and excluded).
   /// Cloud-assigned user ids are normalized out and per-user digests
   /// combine commutatively, so the digest is invariant under shard count
   /// and registration order — the study's determinism fingerprint.
   std::uint64_t content_digest() const;
-
-  /// Write high-water mark of the shard owning `id` — the version every
-  /// cloud-side analytics cache entry for this shard's users is tagged
-  /// with. Mutating REST handlers bump it AFTER their write completes
-  /// (note_write), so any cache entry tagged with a mark that includes the
-  /// bump was computed after the write landed; entries computed mid-write
-  /// carry the pre-bump mark and miss on the next lookup.
-  std::uint64_t write_mark(world::DeviceId id) const {
-    return shards_[shard_of(id)].writes.load(std::memory_order_acquire);
-  }
-  /// Records a completed mutation of `id`'s shard. Call after the write,
-  /// either still holding the shard lock (readers sampling the new mark
-  /// then serialize behind the lock) or after releasing it.
-  void note_write(world::DeviceId id) const {
-    shards_[shard_of(id)].writes.fetch_add(1, std::memory_order_release);
-  }
 
   /// Deletes everything stored for `id` (privacy wipe, paper §6 future
   /// work), including its GCA state. Returns true if the user had any data.
@@ -236,9 +207,6 @@ class CloudStorage {
     /// erase_user). Kept outside `users` so erasing the store does not
     /// erase the fence.
     std::map<world::DeviceId, std::uint64_t> tombstones;
-    /// Monotonic completed-write counter (see write_mark); mutable so the
-    /// const bookkeeping accessors work, like the mutex above.
-    mutable std::atomic<std::uint64_t> writes{0};
   };
 
   /// Accumulators for archived (retired) users, folded into stats() and

@@ -26,12 +26,11 @@ PlaceRecord place_record_from_json(const Json& j);
 Json to_json(const MobilityProfile& profile);
 MobilityProfile profile_from_json(const Json& j);
 
-/// Content digest of a movement-graph upload — the cache key of GCA
-/// offload results (DESIGN.md "Content addressing & cache coherence").
-/// Device and cloud must derive it identically from the observation list,
-/// so both fold the same (t, packed cell) pairs; the digest is computed on
-/// each side, never sent on the wire (request bodies stay byte-identical
-/// whether caching is on or off).
+/// Content digest of a movement-graph upload — the version of the device's
+/// cached GCA result and the prefix claim of a suffix upload (DESIGN.md
+/// "Content addressing & cache coherence"). Device and cloud must derive it
+/// identically from the observation list, so both fold the same
+/// (t, packed cell) pairs.
 inline std::uint64_t movement_digest(
     std::span<const algorithms::CellObservation> observations) {
   std::uint64_t h = cache::kDigestBasis;

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "cache/digest.hpp"
+#include "cache/outcome.hpp"
 #include "core/codec.hpp"
 #include "core/persistence.hpp"
 #include "telemetry/metrics.hpp"
@@ -46,17 +47,14 @@ constexpr const char* kFailureKinds[] = {"profile", "place", "place_delete",
                                          "route",   "encounter", "label",
                                          "wipe"};
 
-// Digest primitives (dirty detection, offload cache keys) come from the
+// Digest primitives (dirty detection, the movement digest) come from the
 // cache subsystem so device and cloud derive identical values.
 using cache::fnv1a;
 using cache::fold;
 constexpr std::uint64_t kDigestBasis = cache::kDigestBasis;
 
-/// Metric-series name of every PMS-side GCA offload cache.
+/// Metric-series name of the device GCA result cache.
 constexpr const char* kGcaCacheName = "pms_gca";
-/// The offload cache holds one entry — the result for the current movement
-/// graph; any growth of the graph changes the digest and recomputes.
-constexpr int kGcaCacheKey = 0;
 
 // --- Checkpoint wire format (Pms::save/restore) ---
 // A manifest line {"format","version","lines","digest"} followed by `lines`
@@ -91,7 +89,6 @@ PmwareMobileService::PmwareMobileService(
       client_(std::move(client)),
       instance_(telemetry::registry().next_instance_label("pms")),
       outbox_(config_.outbox) {
-  if (config_.cache) gca_cache_.emplace(kGcaCacheName, 1);
   place_events_counter_.emplace(kPlaceEvents,
                                 telemetry::LabelSet{{"instance", instance_}},
                                 "place events delivered to connected apps");
@@ -242,15 +239,18 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
   // Content-addressed elision: an unchanged movement graph means an
   // identical clustering result (local, offloaded, or replayed — all equal
   // by design), so serve it from the cache without touching the wire.
-  bool had_cached = false;
-  if (gca_cache_) {
-    auto found = gca_cache_->lookup(kGcaCacheKey, graph_digest);
-    if (found.value) {
-      gca_cache_->record(cache::CacheOutcome::LocalHit);
-      return *std::move(found.value);
+  if (config_.cache) {
+    if (gca_cache_ && gca_cache_->digest == graph_digest) {
+      cache::record_outcome(kGcaCacheName, cache::CacheOutcome::LocalHit);
+      return gca_cache_->result;
     }
-    had_cached = found.stale;
+    cache::record_outcome(kGcaCacheName,
+                          gca_cache_ ? cache::CacheOutcome::Recompute
+                                     : cache::CacheOutcome::Miss);
   }
+  const auto remember = [&](const algorithms::GcaResult& result) {
+    if (config_.cache) gca_cache_ = CachedGca{graph_digest, result};
+  };
   if (config_.offload_gca && client_ != nullptr && user_id_) {
     telemetry::Span span(telemetry::tracer(), "pms.gca_offload", now);
     // Suffix upload: ship only what the cloud has not acknowledged, plus a
@@ -307,9 +307,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
             {static_cast<std::size_t>(v.at("place").as_int()),
              TimeWindow{v.at("arrival").as_int(), v.at("departure").as_int()}});
       }
-      // The cloud already recorded its own hit/recompute/miss for this
-      // round trip; device-side we only remember the result.
-      if (gca_cache_) gca_cache_->put(kGcaCacheKey, result, graph_digest);
+      remember(result);
       return result;
     }
     telemetry::slog_warn("pms", now, "GCA offload failed (%d); running locally",
@@ -318,14 +316,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
   counter(kGcaLocal, "GCA clustering passes run on-device").inc();
   telemetry::Span span(telemetry::tracer(), "pms.gca_local", now);
   algorithms::GcaResult result = local_gca_.run(observations);
-  if (gca_cache_) {
-    // A failed offload never reached the cloud handler (client-side loss
-    // and fault injection both fire before it), so recording the local
-    // outcome here cannot double-count against the cloud's taxonomy.
-    gca_cache_->record(had_cached ? cache::CacheOutcome::Recompute
-                                  : cache::CacheOutcome::Miss);
-    gca_cache_->put(kGcaCacheKey, result, graph_digest);
-  }
+  remember(result);
   return result;
 }
 

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/content_cache.hpp"
 #include "cache/digest.hpp"
 #include "core/connected_apps.hpp"
 #include "core/inference_engine.hpp"
@@ -39,10 +38,11 @@ struct PmsConfig {
   bool offload_gca = true;
   /// Sync profiles/places to the cloud during housekeeping.
   bool cloud_sync = true;
-  /// Content-addressed GCA offload cache: remember the clustering result
-  /// for the current movement-graph digest, so a recluster over an
-  /// unchanged graph neither re-sends the graph nor re-runs GCA (results
-  /// are identical either way, so this is pure work elision).
+  /// Device GCA result cache: remember the clustering result for the
+  /// current movement digest, so a recluster over an unchanged GSM log
+  /// neither re-sends the log nor re-runs GCA (results are identical either
+  /// way, so this is pure work elision). Every pass counts one
+  /// cache_outcomes_total{cache="pms_gca"} outcome.
   bool cache = true;
   /// Store-and-forward queue for failed syncs (DESIGN.md "Failure model &
   /// recovery").
@@ -222,9 +222,13 @@ class PmwareMobileService {
   /// Incremental clustering state for local (offload-disabled or offload-
   /// failed) GCA passes; fed the engine's append-only GSM log each pass.
   algorithms::GcaState local_gca_;
-  /// Engaged iff config_.cache: the last GCA result, versioned by the
-  /// movement-graph digest (core::movement_digest).
-  std::optional<cache::ContentCache<int, algorithms::GcaResult>> gca_cache_;
+  /// The last GCA result and the movement digest of the log it clustered;
+  /// only ever set when config_.cache.
+  struct CachedGca {
+    std::uint64_t digest = 0;
+    algorithms::GcaResult result;
+  };
+  std::optional<CachedGca> gca_cache_;
   std::unique_ptr<net::RestClient> client_;
   std::string instance_;  ///< registry label isolating this service's series
 

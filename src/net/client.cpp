@@ -1,8 +1,6 @@
 #include "net/client.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
 
 #include "net/fault.hpp"
 #include "telemetry/metrics.hpp"
@@ -24,12 +22,6 @@ constexpr const char* kBackoff = "net_backoff_seconds_total";
 constexpr const char* kBreakerOpens = "net_breaker_open_total";
 constexpr const char* kBreakerFastFails = "net_breaker_fast_fail_total";
 constexpr const char* kBreakerState = "net_breaker_state";
-constexpr const char* kNotModified = "net_not_modified_total";
-constexpr const char* kBytesSaved = "net_bytes_saved_total";
-
-/// Name of every client-side conditional cache's metric series; instances
-/// aggregate (the taxonomy uses counters, never gauges).
-constexpr const char* kConditionalCacheName = "net_conditional";
 
 LabelSet instance_labels(const std::string& instance) {
   return {{"instance", instance}};
@@ -68,26 +60,11 @@ RestClient::RestClient(const Router* server, NetworkConditions conditions,
                      "circuit breaker transitions to open"),
       breaker_fast_fails_(kBreakerFastFails, instance_labels(instance_),
                           "sends rejected while the circuit breaker was open"),
-      not_modified_(kNotModified, instance_labels(instance_),
-                    "conditional GETs resolved as 304 Not Modified"),
-      bytes_saved_(kBytesSaved, instance_labels(instance_),
-                   "response body bytes 304s did not re-transfer"),
       breaker_state_gauge_(kBreakerState, instance_labels(instance_),
                            "circuit breaker state: 0 closed, 1 open, 2 half-open"),
       request_bytes_("net_request_bytes", {}, 0, 4096, 16,
                      "request body size distribution, bytes") {
   enter_state(BreakerState::Closed);
-}
-
-void RestClient::set_cache_policy(CachePolicy policy) {
-  cache_policy_ = policy;
-  if (!policy.enabled) {
-    conditional_cache_.reset();
-    return;
-  }
-  conditional_cache_ =
-      std::make_unique<cache::ContentCache<std::string, CachedRepresentation>>(
-          kConditionalCacheName, policy.capacity);
 }
 
 void RestClient::enter_state(BreakerState state) {
@@ -133,26 +110,6 @@ HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
   if (!token_.empty() && outgoing.headers.find("Authorization") ==
                              outgoing.headers.end())
     outgoing.headers["Authorization"] = "Bearer " + token_;
-
-  // Conditional transfer: replay the remembered ETag for this GET so an
-  // unchanged representation collapses to a bodyless 304. A caller-supplied
-  // If-None-Match always passes through untouched (and its 304, if any, is
-  // the caller's to interpret). The extra header never perturbs fault rolls
-  // — the injector hashes path/body/attempt only (net/fault.hpp).
-  const bool conditional =
-      conditional_cache_ != nullptr && outgoing.method == Method::Get &&
-      outgoing.headers.find(kIfNoneMatchHeader) == outgoing.headers.end();
-  std::optional<CachedRepresentation> remembered;
-  std::string cache_key;
-  if (conditional) {
-    cache_key = outgoing.path;
-    for (const auto& [k, v] : outgoing.query) cache_key += "&" + k + "=" + v;
-    auto found = conditional_cache_->lookup(cache_key, 0);
-    if (found.value) {
-      remembered = std::move(found.value);
-      outgoing.headers[kIfNoneMatchHeader] = remembered->etag;
-    }
-  }
 
   // A half-open breaker admits exactly one probe: no retries, so a dead
   // server costs one round-trip per cooldown instead of a full retry burst.
@@ -214,27 +171,6 @@ HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
     // transport loss; any other status means the service answered.
     if (response.status != kStatusServiceUnavailable) break;
   }
-  if (conditional) {
-    if (response.status == kStatusNotModified && remembered) {
-      // The server validated our tag: resolve the 304 from the cached body
-      // so the caller sees an ordinary 200 — a cloud_hit that moved headers
-      // instead of the representation.
-      not_modified_.inc();
-      bytes_saved_.inc(remembered->body.dump().size());
-      conditional_cache_->record(cache::CacheOutcome::CloudHit);
-      response.status = kStatusOk;
-      response.body = remembered->body;
-    } else if (response.ok()) {
-      const auto etag = response.headers.find(kETagHeader);
-      if (etag != response.headers.end()) {
-        // Full representation with a validator: remember it. A prior entry
-        // whose tag no longer validates means the content changed upstream.
-        conditional_cache_->record(remembered ? cache::CacheOutcome::Recompute
-                                              : cache::CacheOutcome::Miss);
-        conditional_cache_->put(cache_key, {etag->second, response.body}, 0);
-      }
-    }
-  }
   span.finish(sim_now + elapsed);
   record_outcome(response.status != kStatusServiceUnavailable, sim_now);
   return response;
@@ -253,8 +189,6 @@ ClientStats RestClient::stats() const {
   stats.backoff_s = static_cast<SimDuration>(reg.counter_value(kBackoff, labels));
   stats.breaker_opens = reg.counter_value(kBreakerOpens, labels);
   stats.breaker_fast_fails = reg.counter_value(kBreakerFastFails, labels);
-  stats.not_modified = reg.counter_value(kNotModified, labels);
-  stats.bytes_saved = reg.counter_value(kBytesSaved, labels);
   return stats;
 }
 

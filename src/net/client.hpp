@@ -6,11 +6,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <string>
 
-#include "cache/content_cache.hpp"
 #include "net/http.hpp"
 #include "net/router.hpp"
 #include "telemetry/metrics.hpp"
@@ -48,15 +45,10 @@ struct BreakerPolicy {
 enum class BreakerState { Closed = 0, Open = 1, HalfOpen = 2 };
 const char* to_string(BreakerState s);
 
-/// Conditional-transfer cache (cache subsystem, DESIGN.md "Content
-/// addressing & cache coherence"): when enabled, GET responses carrying an
-/// ETag are remembered per path+query, the tag is replayed in
-/// If-None-Match, and a 304 is transparently resolved from the cached body
-/// — the caller still sees an ordinary 200. Off by default so existing
-/// transports are byte-for-byte unchanged.
+/// Inert (the client caches nothing); kept only so perfbench/ compiles.
 struct CachePolicy {
   bool enabled = false;
-  std::size_t capacity = 64;  ///< LRU entry bound per client
+  std::size_t capacity = 64;
 };
 
 /// Per-client transport totals. Since the telemetry subsystem landed this is
@@ -72,8 +64,6 @@ struct ClientStats {
   SimDuration backoff_s = 0;         ///< sim-seconds spent waiting to retry
   std::size_t breaker_opens = 0;     ///< closed/half-open -> open transitions
   std::size_t breaker_fast_fails = 0;///< sends rejected while open
-  std::size_t not_modified = 0;      ///< 304s resolved from the local cache
-  std::size_t bytes_saved = 0;       ///< body bytes those 304s did not move
 };
 
 class RestClient {
@@ -108,20 +98,12 @@ class RestClient {
   const RetryPolicy& retry_policy() const { return retry_; }
   void set_breaker_policy(BreakerPolicy policy) { breaker_ = policy; }
   const BreakerPolicy& breaker_policy() const { return breaker_; }
-  /// Enabling allocates (or drops, when disabling) the conditional cache.
-  void set_cache_policy(CachePolicy policy);
-  const CachePolicy& cache_policy() const { return cache_policy_; }
+  /// Inert (see CachePolicy); kept only so perfbench/ compiles.
+  void set_cache_policy(CachePolicy) {}
 
   BreakerState breaker_state() const { return state_; }
 
  private:
-  /// One remembered representation: the ETag the cloud stamped and the
-  /// body it validates. Keyed by path + canonical query.
-  struct CachedRepresentation {
-    std::string etag;
-    Json body;
-  };
-
   void enter_state(BreakerState state);
   void record_outcome(bool delivered, SimTime sim_now);
 
@@ -140,8 +122,6 @@ class RestClient {
   telemetry::CounterHandle backoff_;
   telemetry::CounterHandle breaker_opens_;
   telemetry::CounterHandle breaker_fast_fails_;
-  telemetry::CounterHandle not_modified_;
-  telemetry::CounterHandle bytes_saved_;
   telemetry::GaugeHandle breaker_state_gauge_;
   telemetry::HistogramHandle request_bytes_;  ///< unlabeled: fleet-shared
   std::string token_;
@@ -150,9 +130,6 @@ class RestClient {
   BreakerState state_ = BreakerState::Closed;
   int consecutive_failures_ = 0;
   SimTime open_until_ = 0;  ///< sim-time the open breaker admits a probe
-  CachePolicy cache_policy_;
-  std::unique_ptr<cache::ContentCache<std::string, CachedRepresentation>>
-      conditional_cache_;  ///< non-null iff cache_policy_.enabled
 };
 
 }  // namespace pmware::net

@@ -30,11 +30,6 @@ inline constexpr const char* kParentSpanHeader = "X-PMWare-Parent-Span";
 /// (net/fault.hpp) would fail it forever; the attempt number makes each
 /// retry a fresh roll.
 inline constexpr const char* kAttemptHeader = "X-PMWare-Attempt";
-/// Conditional transfer (cache subsystem, RFC 7232 shapes): the cloud
-/// stamps a strong ETag on cacheable GET responses; RestClient replays it
-/// in If-None-Match and a match collapses the exchange to a bodyless 304.
-inline constexpr const char* kETagHeader = "ETag";
-inline constexpr const char* kIfNoneMatchHeader = "If-None-Match";
 /// The device's registration session (boot epoch) stamped on mutating
 /// requests: the cloud refuses writes whose session is at or below the
 /// device's wipe tombstone with 410 Gone, so replayed traffic from a
@@ -85,9 +80,6 @@ struct HttpRequest {
 struct HttpResponse {
   int status = 200;
   Json body;
-  /// Response headers (ETag today). Not part of the fault injector's roll
-  /// inputs and excluded from response-body digests.
-  std::map<std::string, std::string> headers;
   /// Extra simulated seconds this response cost beyond the client's base
   /// round-trip — stamped by the router when a fault plan adds latency, and
   /// folded into the client's sim-latency accounting.
@@ -110,7 +102,6 @@ struct HttpResponse {
 
 inline constexpr int kStatusOk = 200;
 inline constexpr int kStatusCreated = 201;
-inline constexpr int kStatusNotModified = 304;
 inline constexpr int kStatusBadRequest = 400;
 inline constexpr int kStatusUnauthorized = 401;
 inline constexpr int kStatusNotFound = 404;

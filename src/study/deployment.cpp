@@ -169,7 +169,6 @@ ParticipantResult DeploymentStudy::run_participant(
         &cloud.router(), config_.network, rng.fork(base + 1));
     client->set_retry_policy(config_.retry);
     client->set_breaker_policy(config_.breaker);
-    client->set_cache_policy({config_.cache, 64});
     pms = std::make_unique<core::PmwareMobileService>(
         std::move(device), pms_config, std::move(client), rng.fork(base + 2));
     Rng ads_rng = rng.fork(base + 3);
@@ -447,7 +446,6 @@ StudyResult DeploymentStudy::run_materialized() {
   cloud::CloudConfig cloud_config;
   cloud_config.shards = static_cast<std::size_t>(std::max(config_.shards, 1));
   cloud_config.fault_plan = config_.fault_plan;
-  cloud_config.cache = config_.cache;
   cloud::CloudInstance cloud(cloud_config, std::move(geoloc), rng_.fork(3));
 
   telemetry::registry()
@@ -532,7 +530,6 @@ StudyResult DeploymentStudy::run_streaming(bool detail) {
   cloud::CloudConfig cloud_config;
   cloud_config.shards = static_cast<std::size_t>(std::max(config_.shards, 1));
   cloud_config.fault_plan = config_.fault_plan;
-  cloud_config.cache = config_.cache;
   cloud::CloudInstance cloud(cloud_config, std::move(geoloc), rng_.fork(3));
 
   const int total = std::max(config_.participants, 0);

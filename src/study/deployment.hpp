@@ -82,12 +82,11 @@ struct StudyConfig {
   net::BreakerPolicy breaker;
   /// Per-participant store-and-forward outbox bound.
   core::OutboxConfig outbox;
-  /// Content-addressed caching on both sides of the wire (--cache in
-  /// studyctl/bench): device + cloud GCA offload caches, the cloud-side
-  /// analytics result cache, and the client's conditional-GET (ETag /
-  /// If-None-Match) cache. Science results and the cloud content digest
-  /// are byte-identical on/off — caching only removes work — which the
-  /// cache_sweep bench and tests/test_cache.cpp assert.
+  /// Device GCA result cache (PmsConfig::cache; --cache in studyctl/bench):
+  /// a pass over an unchanged GSM log reuses the last clustering instead of
+  /// offloading or re-running GCA. Science results and the cloud content
+  /// digest are byte-identical on/off — the cache only removes work — which
+  /// the cache_sweep bench and tests/test_cache.cpp assert.
   bool cache = true;
   /// Sim-time series recorder settings (--no-timeseries in studyctl). The
   /// study samples the default counter/gauge families once per interval of

@@ -74,8 +74,10 @@ std::string diagnostics_summary(const Tracer& tracer,
 /// deployment-study "chaos_sweep" block (device-lifecycle chaos: crash/
 /// restart injection, privacy wipes, and late joins, with determinism
 /// digests per shards x threads x cache x runner shape, wipe-tombstone
-/// counters, and checkpoint-size / restore-latency distributions).
-inline constexpr int kBenchSchemaVersion = 9;
+/// counters, and checkpoint-size / restore-latency distributions), 10 =
+/// "cache_sweep" keeps only the device GCA cache (the cloud, analytics and
+/// conditional-transfer rows and microbenchmarks are gone).
+inline constexpr int kBenchSchemaVersion = 10;
 
 /// Reproducibility metadata embedded in every BENCH_*.json, so the perf
 /// trajectory stays comparable across PRs. Zero fields mean "not

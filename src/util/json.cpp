@@ -253,8 +253,14 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // One recursion level per container: bound it before the stack is.
+        if (++depth_ > Json::kMaxParseDepth) fail("nesting too deep");
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -370,6 +376,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers currently open
 };
 
 }  // namespace

@@ -86,7 +86,12 @@ class Json {
   /// Pretty serialization with 2-space indentation.
   std::string pretty() const;
 
-  /// Parses a complete JSON document; trailing garbage is an error.
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so an unbounded `[[[[...` would overflow the stack.
+  static constexpr int kMaxParseDepth = 256;
+
+  /// Parses a complete JSON document; trailing garbage and nesting deeper
+  /// than kMaxParseDepth are errors (JsonError).
   static Json parse(std::string_view text);
 
   bool operator==(const Json& other) const;

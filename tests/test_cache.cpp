@@ -1,20 +1,18 @@
-// Cache-subsystem tests: the generic ContentCache (LRU, digest
-// invalidation, hit taxonomy), ETag generation / If-None-Match matching,
-// conditional transfer end-to-end through RestClient + CloudInstance
-// (including under injected faults), the GCA offload response cache, the
-// analytics result cache's write-mark coherence, the place PUT/GET purity
-// guarantee strong ETags rest on, and cache-on/off study equivalence.
-#include "cache/content_cache.hpp"
+// Device GCA result cache tests (PmsConfig::cache): the movement digest
+// that versions it, its hit/recompute/off behaviour on a live PMS, the
+// byte-identity of cloud responses it relies on, and cache-on/off study
+// equivalence.
+#include "core/pms.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "cache/digest.hpp"
-#include "cache/etag.hpp"
 #include "cloud/cloud_instance.hpp"
 #include "core/codec.hpp"
+#include "mobility/participant.hpp"
+#include "mobility/schedule.hpp"
 #include "net/client.hpp"
 #include "net/fault.hpp"
 #include "study/deployment.hpp"
@@ -31,92 +29,6 @@ std::uint64_t outcome_count(const char* cache, const char* outcome) {
   const auto* c = telemetry::registry().find_counter(
       "cache_outcomes_total", {{"cache", cache}, {"outcome", outcome}});
   return c == nullptr ? 0 : static_cast<std::uint64_t>(c->value());
-}
-
-// --- ContentCache ---------------------------------------------------------
-
-TEST(ContentCache, HitReturnsValueAndRefreshesRecency) {
-  cache::ContentCache<std::string, int> cache("t", 2);
-  cache.put("a", 1, 10);
-  cache.put("b", 2, 20);
-  // Touch "a" so "b" is now least recently used...
-  EXPECT_EQ(cache.lookup("a", 10).value, 1);
-  cache.put("c", 3, 30);  // ...and the insert beyond capacity evicts "b".
-  EXPECT_EQ(cache.lookup("a", 10).value, 1);
-  EXPECT_EQ(cache.lookup("c", 30).value, 3);
-  const auto b = cache.lookup("b", 20);
-  EXPECT_FALSE(b.value.has_value());
-  EXPECT_FALSE(b.stale);  // evicted, not version-mismatched
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ContentCache, VersionMismatchDropsEntryAndReportsStale) {
-  cache::ContentCache<int, std::string> cache("t", 4);
-  cache.put(1, "v1", 100);
-  const auto stale = cache.lookup(1, 101);
-  EXPECT_FALSE(stale.value.has_value());
-  EXPECT_TRUE(stale.stale);
-  // The mismatch dropped the entry: the next lookup is a cold miss.
-  const auto miss = cache.lookup(1, 101);
-  EXPECT_FALSE(miss.value.has_value());
-  EXPECT_FALSE(miss.stale);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ContentCache, PutReplacesValueAndVersionInPlace) {
-  cache::ContentCache<int, std::string> cache("t", 2);
-  cache.put(1, "old", 1);
-  cache.put(1, "new", 2);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.lookup(1, 1).value.has_value());
-  // (The lookup above dropped the entry as stale — reinsert and verify.)
-  cache.put(1, "new", 2);
-  EXPECT_EQ(cache.lookup(1, 2).value, "new");
-}
-
-TEST(ContentCache, EvictionHookSeesEveryDeparture) {
-  cache::ContentCache<int, int> cache("t", 2);
-  std::vector<int> evicted;
-  cache.set_eviction_hook([&](const int& k, const int&) {
-    evicted.push_back(k);
-  });
-  cache.put(1, 10, 0);
-  cache.put(2, 20, 0);
-  cache.put(3, 30, 0);          // capacity eviction of 1
-  cache.lookup(2, 99);          // staleness drop of 2
-  cache.invalidate(3);          // explicit
-  cache.put(4, 40, 0);
-  cache.clear();                // remaining 4
-  EXPECT_EQ(evicted, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(ContentCache, CapacityZeroClampsToOne) {
-  cache::ContentCache<int, int> cache("t", 0);
-  EXPECT_EQ(cache.capacity(), 1u);
-  cache.put(1, 10, 0);
-  cache.put(2, 20, 0);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.lookup(2, 0).value, 20);
-}
-
-TEST(ContentCache, TaxonomyAndEvictionsExportedAsCounters) {
-  telemetry::registry().reset();
-  cache::ContentCache<int, int> cache("taxo", 1);
-  cache.record(cache::CacheOutcome::LocalHit);
-  cache.record(cache::CacheOutcome::CloudHit);
-  cache.record(cache::CacheOutcome::CloudHit);
-  cache.record(cache::CacheOutcome::Recompute);
-  cache.record(cache::CacheOutcome::Miss);
-  cache.put(1, 1, 0);
-  cache.put(2, 2, 0);  // evicts 1
-  EXPECT_EQ(outcome_count("taxo", "local_hit"), 1u);
-  EXPECT_EQ(outcome_count("taxo", "cloud_hit"), 2u);
-  EXPECT_EQ(outcome_count("taxo", "recompute"), 1u);
-  EXPECT_EQ(outcome_count("taxo", "miss"), 1u);
-  const auto* ev = telemetry::registry().find_counter("cache_evictions_total",
-                                                      {{"cache", "taxo"}});
-  ASSERT_NE(ev, nullptr);
-  EXPECT_EQ(static_cast<std::uint64_t>(ev->value()), 1u);
 }
 
 // --- Movement digest ------------------------------------------------------
@@ -152,55 +64,7 @@ TEST(MovementDigest, SensitiveToTimeCellAndOrder) {
   EXPECT_NE(core::movement_digest(a), core::movement_digest(swapped));
 }
 
-// --- ETag edge cases ------------------------------------------------------
-
-TEST(ETag, StrongEtagIsQuotedPadded16DigitHex) {
-  const std::string etag = cache::strong_etag("{\"a\":1}");
-  ASSERT_EQ(etag.size(), 18u);
-  EXPECT_EQ(etag.front(), '"');
-  EXPECT_EQ(etag.back(), '"');
-  for (std::size_t i = 1; i + 1 < etag.size(); ++i)
-    EXPECT_TRUE((etag[i] >= '0' && etag[i] <= '9') ||
-                (etag[i] >= 'a' && etag[i] <= 'f'))
-        << etag;
-  EXPECT_EQ(etag, cache::strong_etag("{\"a\":1}"));  // deterministic
-  EXPECT_NE(etag, cache::strong_etag("{\"a\":2}"));
-}
-
-TEST(ETag, MatchesExactAndListedCandidates) {
-  EXPECT_TRUE(cache::etag_matches("\"abc\"", "\"abc\""));
-  EXPECT_FALSE(cache::etag_matches("\"abd\"", "\"abc\""));
-  EXPECT_TRUE(cache::etag_matches("\"x\", \"abc\", \"y\"", "\"abc\""));
-  EXPECT_FALSE(cache::etag_matches("\"x\", \"y\"", "\"abc\""));
-}
-
-TEST(ETag, WeakComparisonIgnoresWeaknessPrefixes) {
-  // RFC 7232 §3.2: If-None-Match uses the weak comparison — W/ prefixes
-  // are stripped from both sides before comparing opaque tags.
-  EXPECT_TRUE(cache::etag_matches("W/\"abc\"", "\"abc\""));
-  EXPECT_TRUE(cache::etag_matches("\"abc\"", "W/\"abc\""));
-  EXPECT_TRUE(cache::etag_matches("W/\"abc\"", "W/\"abc\""));
-  EXPECT_FALSE(cache::etag_matches("W/\"abd\"", "\"abc\""));
-}
-
-TEST(ETag, StarMatchesAnyRepresentation) {
-  EXPECT_TRUE(cache::etag_matches("*", "\"anything\""));
-  EXPECT_TRUE(cache::etag_matches(" * ", "\"anything\""));
-}
-
-TEST(ETag, ToleratesUnquotedCandidatesAndWhitespace) {
-  EXPECT_TRUE(cache::etag_matches("abc", "\"abc\""));
-  EXPECT_TRUE(cache::etag_matches("  \"abc\"  ", "\"abc\""));
-  EXPECT_TRUE(cache::etag_matches("x , abc", "\"abc\""));
-}
-
-TEST(ETag, EmptyHeaderNeverMatches) {
-  EXPECT_FALSE(cache::etag_matches("", "\"abc\""));
-  EXPECT_FALSE(cache::etag_matches("   ", "\"abc\""));
-  EXPECT_FALSE(cache::etag_matches(",,", "\"abc\""));
-}
-
-// --- Conditional transfer end-to-end --------------------------------------
+// --- Cloud responses the device cache relies on ---------------------------
 
 /// Minimal cloud + client pair; the client registers the device and keeps
 /// the bearer token so tests talk to /api/users/<id>/... directly.
@@ -208,11 +72,9 @@ class ConditionalFixture : public ::testing::Test {
  protected:
   ConditionalFixture() { telemetry::registry().reset(); }
 
-  void start(cloud::CloudConfig config = {},
-             net::CachePolicy cache_policy = {true, 64}) {
+  void start(cloud::CloudConfig config = {}) {
     cloud_.emplace(config, cloud::GeoLocationService({}), Rng(1));
     client_.emplace(&cloud_->router(), net::NetworkConditions{}, Rng(2));
-    client_->set_cache_policy(cache_policy);
     HttpRequest reg;
     reg.method = Method::Post;
     reg.path = "/api/register";
@@ -249,137 +111,18 @@ class ConditionalFixture : public ::testing::Test {
   std::string user_;
 };
 
-TEST_F(ConditionalFixture, RepeatGetRevalidatesTo304WithSameBody) {
-  start();
-  ASSERT_EQ(put_place(1, "home").status, net::kStatusCreated);
-  const HttpResponse first =
-      client_->send(request(Method::Get, "/api/users/" + user_ + "/places"));
-  ASSERT_EQ(first.status, net::kStatusOk);
-  EXPECT_EQ(client_->stats().not_modified, 0u);
-
-  const HttpResponse second =
-      client_->send(request(Method::Get, "/api/users/" + user_ + "/places"));
-  // The caller still sees an ordinary 200; the wire moved a 304.
-  EXPECT_EQ(second.status, net::kStatusOk);
-  EXPECT_EQ(second.body.dump(), first.body.dump());
-  EXPECT_EQ(client_->stats().not_modified, 1u);
-  EXPECT_EQ(client_->stats().bytes_saved, first.body.dump().size());
-  EXPECT_EQ(outcome_count("net_conditional", "cloud_hit"), 1u);
-}
-
-TEST_F(ConditionalFixture, ServerSide304CarriesNoBody) {
-  start();
-  ASSERT_EQ(put_place(1, "home").status, net::kStatusCreated);
-  const HttpResponse full = cloud_->router().handle(
-      request(Method::Get, "/api/users/" + user_ + "/places")
-          .with_header("Authorization", "Bearer " + client_->auth_token()));
-  ASSERT_EQ(full.status, net::kStatusOk);
-  const auto etag = full.headers.find(net::kETagHeader);
-  ASSERT_NE(etag, full.headers.end());
-
-  HttpRequest revalidate =
-      request(Method::Get, "/api/users/" + user_ + "/places")
-          .with_header("Authorization", "Bearer " + client_->auth_token());
-  revalidate.headers[net::kIfNoneMatchHeader] = etag->second;
-  const HttpResponse res = cloud_->router().handle(revalidate);
-  EXPECT_EQ(res.status, net::kStatusNotModified);
-  EXPECT_TRUE(res.body.is_null());  // bodyless — the entire point
-  // The 304 still names the representation it validated.
-  ASSERT_NE(res.headers.find(net::kETagHeader), res.headers.end());
-  EXPECT_EQ(res.headers.at(net::kETagHeader), etag->second);
-}
-
-TEST_F(ConditionalFixture, MutationInvalidatesThenRevalidatesAgain) {
-  start();
-  ASSERT_EQ(put_place(1, "home").status, net::kStatusCreated);
-  const std::string path = "/api/users/" + user_ + "/places";
-  client_->send(request(Method::Get, path));             // miss, fills cache
-  ASSERT_EQ(put_place(2, "work").status, net::kStatusCreated);
-  const HttpResponse changed = client_->send(request(Method::Get, path));
-  // Stale tag: the full new representation comes back — a recompute.
-  EXPECT_EQ(changed.status, net::kStatusOk);
-  EXPECT_EQ(client_->stats().not_modified, 0u);
-  EXPECT_EQ(outcome_count("net_conditional", "recompute"), 1u);
-  // The refreshed entry validates on the next round trip.
-  const HttpResponse again = client_->send(request(Method::Get, path));
-  EXPECT_EQ(again.status, net::kStatusOk);
-  EXPECT_EQ(again.body.dump(), changed.body.dump());
-  EXPECT_EQ(client_->stats().not_modified, 1u);
-}
-
-TEST_F(ConditionalFixture, CacheOffNeverSendsIfNoneMatch) {
-  start(cloud::CloudConfig{}, net::CachePolicy{false, 64});
-  ASSERT_EQ(put_place(1, "home").status, net::kStatusCreated);
-  const std::string path = "/api/users/" + user_ + "/places";
-  const HttpResponse first = client_->send(request(Method::Get, path));
-  const HttpResponse second = client_->send(request(Method::Get, path));
-  EXPECT_EQ(first.status, net::kStatusOk);
-  EXPECT_EQ(second.status, net::kStatusOk);
-  EXPECT_EQ(second.body.dump(), first.body.dump());
-  EXPECT_EQ(client_->stats().not_modified, 0u);
-  // ETag stamping is unconditional — only revalidation needs the cache.
-  EXPECT_NE(second.headers.find(net::kETagHeader), second.headers.end());
-}
-
-TEST_F(ConditionalFixture, CallerSuppliedIfNoneMatchPassesThroughRaw) {
-  start();
-  ASSERT_EQ(put_place(1, "home").status, net::kStatusCreated);
-  HttpRequest get = request(Method::Get, "/api/users/" + user_ + "/places");
-  get.headers[net::kIfNoneMatchHeader] = "*";
-  const HttpResponse res = client_->send(get);
-  // The client must not intercept a conditional exchange it didn't start:
-  // the raw 304 is the caller's to interpret.
-  EXPECT_EQ(res.status, net::kStatusNotModified);
-  EXPECT_EQ(client_->stats().not_modified, 0u);
-}
-
-TEST_F(ConditionalFixture, ConditionalGetsSurviveInjectedFaults) {
-  cloud::CloudConfig config;
-  config.fault_plan =
-      net::FaultPlan::parse("route=/api/users,error=0.4,from=0,to=2d");
-  start(config);
-  net::RetryPolicy retry;
-  retry.max_retries = 6;
-  client_->set_retry_policy(retry);
-  ASSERT_EQ(put_place(1, "home").status, net::kStatusCreated);
-
-  const std::string path = "/api/users/" + user_ + "/places";
-  std::string body;
-  std::size_t delivered = 0;
-  for (int round = 0; round < 20; ++round) {
-    // Distinct sim-times so the deterministic fault rolls differ per round.
-    const HttpResponse res =
-        client_->send(request(Method::Get, path, minutes(round)));
-    if (res.status != net::kStatusOk) continue;  // exhausted its retries
-    ++delivered;
-    // Every delivered response — revalidated or re-transferred — must carry
-    // the same bytes; a 304 merged with a fault must never surface.
-    if (body.empty())
-      body = res.body.dump();
-    else
-      EXPECT_EQ(res.body.dump(), body);
-  }
-  EXPECT_GE(delivered, 10u);
-  EXPECT_GE(client_->stats().not_modified, 1u);
-}
-
-// --- Place PUT/GET purity -------------------------------------------------
-
-// Strong ETags are only valid if response bytes are a pure function of the
-// last write — no counters, timestamps, or iteration-order noise in the
-// representation. This is the regression test that guarantee rests on.
+// Response bytes must be a pure function of the last write — no counters,
+// timestamps, or iteration-order noise in the representation.
 TEST_F(ConditionalFixture, PlaceGetBytesArePureFunctionOfLastPut) {
-  start(cloud::CloudConfig{}, net::CachePolicy{false, 64});
+  start();
   const std::string path = "/api/users/" + user_ + "/places";
 
   ASSERT_EQ(put_place(7, "gym").status, net::kStatusCreated);
   const std::string original = client_->send(request(Method::Get, path)).body.dump();
 
-  // Idempotent re-PUT: identical stored state, identical bytes and ETag.
+  // Idempotent re-PUT: identical stored state, identical bytes.
   ASSERT_EQ(put_place(7, "gym").status, net::kStatusCreated);
-  const HttpResponse same = client_->send(request(Method::Get, path));
-  EXPECT_EQ(same.body.dump(), original);
-  EXPECT_EQ(same.headers.at(net::kETagHeader), cache::strong_etag(original));
+  EXPECT_EQ(client_->send(request(Method::Get, path)).body.dump(), original);
 
   // Different content, different bytes...
   ASSERT_EQ(put_place(7, "pool").status, net::kStatusCreated);
@@ -391,55 +134,10 @@ TEST_F(ConditionalFixture, PlaceGetBytesArePureFunctionOfLastPut) {
   EXPECT_EQ(client_->send(request(Method::Get, path)).body.dump(), original);
 }
 
-// --- GCA offload response cache ------------------------------------------
-
-TEST_F(ConditionalFixture, RepeatDiscoverIsServedFromCloudCache) {
-  start();
-  auto cell = [](std::uint32_t cid) {
-    world::CellId c;
-    c.mcc = 262;
-    c.mnc = 1;
-    c.lac = 7;
-    c.cid = cid;
-    return c;
-  };
-  Json observations = Json::array();
-  for (int m = 0; m < 180; ++m) {
-    Json o = Json::object();
-    o.set("t", static_cast<std::int64_t>(minutes(m)));
-    o.set("cell", core::to_json(cell(m % 2 == 0 ? 10 : 11)));
-    observations.push_back(std::move(o));
-  }
-  auto discover = [&]() {
-    HttpRequest req = request(Method::Post, "/api/places/discover");
-    req.body = Json::object();
-    Json copy = observations;
-    req.body.set("observations", std::move(copy));
-    return client_->send(req);
-  };
-  const HttpResponse first = discover();
-  ASSERT_EQ(first.status, net::kStatusOk);
-  EXPECT_EQ(outcome_count("cloud_gca", "miss"), 1u);
-  EXPECT_EQ(outcome_count("cloud_gca", "cloud_hit"), 0u);
-
-  const HttpResponse replay = discover();
-  ASSERT_EQ(replay.status, net::kStatusOk);
-  EXPECT_EQ(replay.body.dump(), first.body.dump());  // byte-identical
-  EXPECT_EQ(outcome_count("cloud_gca", "cloud_hit"), 1u);
-
-  // A longer (append-only) upload is a different graph: recompute.
-  Json o = Json::object();
-  o.set("t", static_cast<std::int64_t>(minutes(200)));
-  o.set("cell", core::to_json(cell(12)));
-  observations.push_back(std::move(o));
-  ASSERT_EQ(discover().status, net::kStatusOk);
-  EXPECT_EQ(outcome_count("cloud_gca", "recompute"), 1u);
-}
-
+// The device cache may stand in for a discover round trip only because the
+// cloud answers an unchanged movement graph with identical bytes.
 TEST_F(ConditionalFixture, CacheOffRecomputesEveryDiscover) {
-  cloud::CloudConfig config;
-  config.cache = false;
-  start(config);
+  start();
   auto cell = [](std::uint32_t cid) {
     world::CellId c;
     c.mcc = 262;
@@ -466,68 +164,89 @@ TEST_F(ConditionalFixture, CacheOffRecomputesEveryDiscover) {
     if (body.empty())
       body = res.body.dump();
     else
-      EXPECT_EQ(res.body.dump(), body);  // disabled cache changes no bytes
+      EXPECT_EQ(res.body.dump(), body);  // every recompute, same bytes
   }
-  EXPECT_EQ(outcome_count("cloud_gca", "cloud_hit"), 0u);
-  EXPECT_EQ(outcome_count("cloud_gca", "miss"), 0u);
 }
 
-// --- Analytics result cache (write-mark coherence) ------------------------
+// --- Device GCA result cache ----------------------------------------------
 
-TEST_F(ConditionalFixture, AnalyticsCacheInvalidatedByShardWrites) {
-  start(cloud::CloudConfig{}, net::CachePolicy{false, 64});
-  core::MobilityProfile profile;
-  profile.activity.still = hours(20);
-  profile.activity.walking = hours(3);
-  profile.activity.vehicle = hours(1);
-  auto put_profile = [&]() {
-    HttpRequest put =
-        request(Method::Put, "/api/users/" + user_ + "/profiles/3");
-    put.body = core::to_json(profile);
-    return client_->send(put);
-  };
-  const std::string path = "/api/users/" + user_ + "/analytics/activity/3";
+/// One registered PMS against an in-process cloud, after one simulated day
+/// (which ends with a housekeeping GCA pass).
+class PmsGcaCache : public ::testing::Test {
+ protected:
+  void start(bool cache) {
+    telemetry::registry().reset();
+    Rng world_rng(1);
+    world_ = world::generate_world(world::WorldConfig{}, world_rng);
+    Rng participants_rng(2);
+    participants_ = mobility::make_participants(*world_, 1, participants_rng);
+    Rng trace_rng(5);
+    mobility::ScheduleConfig schedule;
+    schedule.days = 2;
+    trace_.emplace(mobility::build_trace(*world_, participants_[0], schedule,
+                                         trace_rng));
+    cloud_.emplace(cloud::CloudConfig{},
+                   cloud::GeoLocationService(world_->cell_location_db()),
+                   Rng(3));
+    auto device = std::make_unique<sensing::Device>(
+        world_, sensing::oracle_from_trace(*trace_), sensing::DeviceConfig{},
+        Rng(7));
+    auto client = std::make_unique<net::RestClient>(
+        &cloud_->router(), net::NetworkConditions{0.0, 1}, Rng(11));
+    core::PmsConfig config;
+    config.cache = cache;
+    pms_.emplace(std::move(device), config, std::move(client), Rng(13));
+    ASSERT_TRUE(pms_->register_with_cloud(0));
+    pms_->run(TimeWindow{0, days(1)});
+  }
 
-  ASSERT_EQ(put_profile().status, net::kStatusCreated);
-  const HttpResponse first = client_->send(request(Method::Get, path));
-  ASSERT_EQ(first.status, net::kStatusOk);
-  EXPECT_EQ(outcome_count("cloud_analytics", "miss"), 1u);
+  /// Discover requests the cloud has answered.
+  static std::uint64_t discovers() {
+    return telemetry::registry().counter_value(
+        "cloud_requests_total", {{"method", "POST"},
+                                 {"route", "/api/places/discover"},
+                                 {"status", "200"}});
+  }
 
-  // Unchanged shard: the remembered response is served.
-  const HttpResponse hit = client_->send(request(Method::Get, path));
-  EXPECT_EQ(hit.body.dump(), first.body.dump());
-  EXPECT_EQ(outcome_count("cloud_analytics", "cloud_hit"), 1u);
+  std::shared_ptr<const world::World> world_;
+  std::vector<mobility::Participant> participants_;
+  std::optional<mobility::Trace> trace_;
+  std::optional<cloud::CloudInstance> cloud_;
+  std::optional<core::PmwareMobileService> pms_;
+};
 
-  // Any write to the owning shard bumps its mark and forces a recompute —
-  // which must observe the new data.
-  profile.activity.walking = hours(5);
-  ASSERT_EQ(put_profile().status, net::kStatusCreated);
-  const HttpResponse recomputed = client_->send(request(Method::Get, path));
-  ASSERT_EQ(recomputed.status, net::kStatusOk);
-  EXPECT_EQ(outcome_count("cloud_analytics", "recompute"), 1u);
-  EXPECT_EQ(recomputed.body.at("walking").as_int(),
-            static_cast<std::int64_t>(hours(5)));
+TEST_F(PmsGcaCache, UnchangedLogIsServedWithoutOffloading) {
+  start(true);
+  ASSERT_GE(discovers(), 1u);
+  const std::uint64_t requests = discovers();
+  const std::uint64_t hits = outcome_count("pms_gca", "local_hit");
+  pms_->inference().recluster(days(1));
+  EXPECT_EQ(discovers(), requests);
+  EXPECT_EQ(outcome_count("pms_gca", "local_hit"), hits + 1);
 }
 
-TEST_F(ConditionalFixture, AnalyticsCacheSeesDirectStorageMutation) {
-  start(cloud::CloudConfig{}, net::CachePolicy{false, 64});
-  core::MobilityProfile profile;
-  profile.activity.still = hours(10);
-  HttpRequest put = request(Method::Put, "/api/users/" + user_ + "/profiles/1");
-  put.body = core::to_json(profile);
-  ASSERT_EQ(client_->send(put).status, net::kStatusCreated);
+TEST_F(PmsGcaCache, AppendedObservationOffloadsAgain) {
+  start(true);
+  const std::size_t logged = pms_->inference().gsm_log().size();
+  pms_->run(TimeWindow{days(1), days(1) + minutes(1)});
+  ASSERT_EQ(pms_->inference().gsm_log().size(), logged + 1);
+  const std::uint64_t requests = discovers();
+  const std::uint64_t recomputes = outcome_count("pms_gca", "recompute");
+  pms_->inference().recluster(days(1) + minutes(1));
+  EXPECT_EQ(discovers(), requests + 1);
+  EXPECT_EQ(outcome_count("pms_gca", "recompute"), recomputes + 1);
+  EXPECT_EQ(outcome_count("pms_gca", "local_hit"), 0u);
+}
 
-  const std::string path = "/api/users/" + user_ + "/analytics/activity/1";
-  ASSERT_EQ(client_->send(request(Method::Get, path)).status, net::kStatusOk);
-
-  // Tests and tooling mutate through storage().user() directly; that
-  // accessor counts toward the write mark too, so the cache can't serve
-  // bytes the fixture has already replaced.
-  const auto uid = static_cast<world::DeviceId>(std::atoll(user_.c_str()));
-  cloud_->storage().user(uid).profiles[1].activity.still = hours(2);
-  const HttpResponse res = client_->send(request(Method::Get, path));
-  ASSERT_EQ(res.status, net::kStatusOk);
-  EXPECT_EQ(res.body.at("still").as_int(), static_cast<std::int64_t>(hours(2)));
+TEST_F(PmsGcaCache, CacheOffOffloadsEveryPass) {
+  start(false);
+  for (int pass = 0; pass < 3; ++pass) {
+    const std::uint64_t requests = discovers();
+    pms_->inference().recluster(days(1));
+    EXPECT_EQ(discovers(), requests + 1) << "pass " << pass;
+  }
+  for (const char* outcome : {"local_hit", "recompute", "miss"})
+    EXPECT_EQ(outcome_count("pms_gca", outcome), 0u) << outcome;
 }
 
 // --- Cache-on/off study equivalence ---------------------------------------
@@ -586,9 +305,9 @@ TEST(CacheStudy, CachingNeverChangesResultsAcrossShardsAndThreads) {
 }
 
 TEST(CacheStudy, CachedStudyEquivalentUnderFaultPlan) {
-  // Conditional GETs, offload caching, retries, the outbox, and injected
-  // faults all composed: the cached faulted run must still converge to the
-  // cache-off no-fault bytes once the outbox drains.
+  // The device GCA cache, retries, the outbox, and injected faults all
+  // composed: the cached faulted run must still converge to the cache-off
+  // no-fault bytes once the outbox drains.
   study::StudyConfig base;
   base.participants = 3;
   base.days = 6;

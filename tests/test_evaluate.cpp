@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace pmware::algorithms {
 namespace {
 
@@ -158,6 +160,12 @@ struct ThresholdCase {
   SimDuration overlap;
   bool linked;
 };
+
+// Without this gtest names each case by a raw byte dump of the struct, which
+// includes its uninitialised padding and so changes from run to run.
+void PrintTo(const ThresholdCase& c, std::ostream* os) {
+  *os << "overlap=" << c.overlap << "s linked=" << (c.linked ? "true" : "false");
+}
 
 class LinkThresholdSweep : public ::testing::TestWithParam<ThresholdCase> {};
 

@@ -2,11 +2,15 @@
 // gracefully, not collapse, as the environment gets hostile.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "algorithms/evaluate.hpp"
+#include "cache/digest.hpp"
 #include "cloud/cloud_instance.hpp"
 #include "core/pms.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
+#include "util/strfmt.hpp"
 
 namespace pmware {
 namespace {
@@ -187,6 +191,78 @@ TEST(Robustness, VisitLogNeverOverlapsUnderStress) {
   for (std::size_t i = 1; i < log.size(); ++i)
     EXPECT_LE(log[i - 1].window.end, log[i].window.begin + 1);
   for (const auto& v : log) EXPECT_GE(v.window.length(), minutes(10));
+}
+
+// Checkpoint restore parses untrusted bytes: nesting depth must come back
+// as a JsonError, never as a stack overflow.
+TEST(Robustness, DeeplyNestedJsonThrowsJsonError) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto limit = static_cast<std::size_t>(Json::kMaxParseDepth);
+  EXPECT_NO_THROW(Json::parse(arrays(limit)));
+  EXPECT_THROW(Json::parse(arrays(limit + 1)), JsonError);
+  EXPECT_THROW(Json::parse(arrays(1000000)), JsonError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(100000, '}');
+  EXPECT_THROW(Json::parse(objects), JsonError);
+}
+
+TEST(Robustness, DeeplyNestedCheckpointSectionFallsBackToColdRestart) {
+  Rng world_rng(1);
+  auto world = world::generate_world(world::WorldConfig{}, world_rng);
+  Rng prng(2);
+  auto participants = mobility::make_participants(*world, 1, prng);
+  Rng trng(5);
+  mobility::ScheduleConfig sc;
+  sc.days = 1;
+  const mobility::Trace trace =
+      mobility::build_trace(*world, participants[0], sc, trng);
+  cloud::CloudInstance cloud(cloud::CloudConfig{},
+                             cloud::GeoLocationService(world->cell_location_db()),
+                             Rng(3));
+  const auto boot = [&](std::uint64_t salt) {
+    auto device = std::make_unique<sensing::Device>(
+        world, sensing::oracle_from_trace(trace), sensing::DeviceConfig{},
+        Rng(salt));
+    auto client = std::make_unique<net::RestClient>(
+        &cloud.router(), net::NetworkConditions{0.0, 1}, Rng(salt + 1));
+    return std::make_unique<core::PmwareMobileService>(
+        std::move(device), core::PmsConfig{}, std::move(client),
+        Rng(salt + 2));
+  };
+  const auto pms = boot(7);
+  ASSERT_TRUE(pms->register_with_cloud(0));
+  pms->run(TimeWindow{0, days(1)});
+  std::ostringstream saved;
+  pms->save(saved);
+
+  // Re-seals a checkpoint body under a fresh manifest, so it passes the
+  // length and digest checks and only the section parse can reject it.
+  std::vector<std::string> lines;
+  std::istringstream in(saved.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto sealed = [&](const std::string& scalars) {
+    std::string body;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      const bool payload =
+          lines[i - 1].find("\"section\":\"scalars\"") != std::string::npos;
+      body += (payload && !scalars.empty() ? scalars : lines[i]) + "\n";
+    }
+    Json manifest = Json::parse(lines.at(0));
+    manifest.set("digest", strfmt("%016llx", static_cast<unsigned long long>(
+                                                 cache::fnv1a(body))));
+    return manifest.dump() + "\n" + body;
+  };
+  std::istringstream resealed(sealed(""));
+  EXPECT_TRUE(boot(17)->restore(resealed));
+
+  std::istringstream deep(sealed(std::string(1000000, '[') +
+                                 std::string(1000000, ']')));
+  const auto reboot = boot(27);
+  EXPECT_FALSE(reboot->restore(deep));
+  EXPECT_TRUE(reboot->cold_restart(days(1)));
 }
 
 }  // namespace

@@ -679,11 +679,10 @@ TEST(Exporters, BenchJsonCarriesSchemaVersionRunMetaAndFlame) {
   buffer << in.rdbuf();
   const Json doc = Json::parse(buffer.str());
   EXPECT_EQ(doc.at("schema_version").as_int(), kBenchSchemaVersion);
-  // Pin the current version: 9 added the deployment-study "chaos_sweep"
-  // block (device-lifecycle chaos digests and checkpoint/restore
-  // distributions). Bumping kBenchSchemaVersion means updating this test
-  // and the history comment in export.hpp together.
-  EXPECT_EQ(kBenchSchemaVersion, 9);
+  // Pin the current version: 10 cut the deployment-study "cache_sweep"
+  // block down to the device GCA cache. Bumping kBenchSchemaVersion means
+  // updating this test and the history comment in export.hpp together.
+  EXPECT_EQ(kBenchSchemaVersion, 10);
   EXPECT_TRUE(doc.contains("timeseries"));
   EXPECT_TRUE(doc.at("timeseries").contains("points"));
   EXPECT_GT(doc.at("process").at("peak_rss_bytes").as_int(), 0);
