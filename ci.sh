@@ -13,7 +13,8 @@
 # The golden-digest gate runs both study runners (materialized and
 # streaming) against tests/golden/study_digest.txt, then again under the
 # pinned device-chaos plan (crash/restart injection, privacy wipes, late
-# joins) against tests/golden/study_digest_crash.txt.
+# joins) against tests/golden/study_digest_crash.txt. After them, the
+# benchmark's own self-test guards that perfbench/ still builds and runs.
 # Usage: ./ci.sh [extra cmake args...]
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -76,6 +77,14 @@ for runner in materialized streaming; do
   fi
   echo "crashed-study digest ${actual_digest} matches golden (${runner} runner)"
 done
+
+# Benchmark build guard: perfbench/ compiles ../src with its own CMake
+# (into .bench_build), so an src/ API change can break the benchmark
+# without touching any target above. The self-test builds it, runs every
+# workload at smoke size, traced and untraced, and checks the traced
+# composition's cloud digest against the untraced run.
+echo "=== perfbench self-test ==="
+python3 perfbench/run.py --selftest
 
 # Telemetry budget gate: 8 threads hammer the metric hot paths; asserts
 # exact totals, the lock-free handle path beating the registry-lookup path,

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "algorithms/gca.hpp"
-#include "cache/digest.hpp"
 #include "core/codec.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/export.hpp"
@@ -311,10 +310,8 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
     std::vector<algorithms::CellObservation> observations;
-    for (const auto& o : req.body.at("observations").as_array()) {
-      observations.push_back(
-          {o.at("t").as_int(), core::cell_from_json(o.at("cell"))});
-    }
+    for (const auto& o : req.body.at("observations").as_array())
+      observations.push_back(core::observation_from_json(o));
     Json body;
     {
       const auto locked = storage_.locked_user(user);
@@ -328,28 +325,21 @@ void CloudInstance::register_routes() {
       if (req.body.contains("prefix_len")) {
         const auto prefix_len =
             static_cast<std::size_t>(req.body.at("prefix_len").as_int());
-        const std::uint64_t prefix_digest = std::strtoull(
-            req.body.at("prefix_digest").as_string().c_str(), nullptr, 16);
+        const std::uint64_t prefix_digest =
+            core::digest_from_hex(req.body.at("prefix_digest").as_string());
         if (prefix_len == locked->gca_log.size() &&
             prefix_digest == locked->gca_log_digest) {
           locked->gca_log.insert(locked->gca_log.end(), observations.begin(),
                                  observations.end());
-          for (const auto& obs : observations) {
-            cache::fold(locked->gca_log_digest,
-                        static_cast<std::uint64_t>(obs.t));
-            cache::fold(locked->gca_log_digest, obs.cell.key());
-          }
+          locked->gca_log_digest =
+              core::movement_digest(observations, locked->gca_log_digest);
         } else {
           // Replay (client retry after a lost response): the claimed prefix
           // plus this suffix IS the retained stream — nothing to apply.
-          std::uint64_t replay_digest = prefix_digest;
-          for (const auto& obs : observations) {
-            cache::fold(replay_digest, static_cast<std::uint64_t>(obs.t));
-            cache::fold(replay_digest, obs.cell.key());
-          }
           const bool replay =
               prefix_len + observations.size() == locked->gca_log.size() &&
-              replay_digest == locked->gca_log_digest;
+              core::movement_digest(observations, prefix_digest) ==
+                  locked->gca_log_digest;
           if (!replay)
             return HttpResponse::error(409, "gca log out of sync; resync");
         }
@@ -359,26 +349,7 @@ void CloudInstance::register_routes() {
         locked->gca_log = std::move(observations);
         locked->gca_log_digest = core::movement_digest(locked->gca_log);
       }
-      const algorithms::GcaResult result = locked->gca.run(locked->gca_log);
-      Json places = Json::array();
-      for (const auto& cluster : result.places) {
-        Json p = Json::object();
-        p.set("signature",
-              core::to_json(algorithms::PlaceSignature(cluster.signature)));
-        p.set("total_dwell", static_cast<std::int64_t>(cluster.total_dwell));
-        places.push_back(std::move(p));
-      }
-      Json visits = Json::array();
-      for (const auto& v : result.visits) {
-        Json e = Json::object();
-        e.set("place", static_cast<std::uint64_t>(v.place_index));
-        e.set("arrival", v.window.begin);
-        e.set("departure", v.window.end);
-        visits.push_back(std::move(e));
-      }
-      body = Json::object();
-      body.set("places", std::move(places));
-      body.set("visits", std::move(visits));
+      body = core::to_json(locked->gca.run(locked->gca_log));
     }
     return HttpResponse::json(std::move(body));
   });
@@ -470,23 +441,7 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
-    algorithms::RouteObservation obs;
-    obs.from_place = static_cast<std::size_t>(req.body.get_int("from", 0));
-    obs.to_place = static_cast<std::size_t>(req.body.get_int("to", 0));
-    obs.window = TimeWindow{req.body.get_int("start", 0),
-                            req.body.get_int("end", 0)};
-    if (req.body.contains("cells")) {
-      for (const auto& c : req.body.at("cells").as_array()) {
-        obs.cells.times.push_back(c.at("t").as_int());
-        obs.cells.cells.push_back(core::cell_from_json(c.at("cell")));
-      }
-    }
-    if (req.body.contains("gps")) {
-      for (const auto& g : req.body.at("gps").as_array()) {
-        obs.gps.times.push_back(g.at("t").as_int());
-        obs.gps.points.push_back(core::latlng_from_json(g));
-      }
-    }
+    algorithms::RouteObservation obs = core::route_from_json(req.body);
     // Replay guard: the device stamps each upload with its route-log index.
     // A "seq" below the high-water mark was already applied — an outbox
     // replay whose original response was lost must not double-count the
@@ -550,11 +505,15 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
+    // Decode the whole batch before touching the store, so a malformed
+    // entry rejects the request without applying a prefix of it.
+    std::vector<core::EncounterEntry> batch;
+    for (const auto& e : req.body.at("encounters").as_array())
+      batch.push_back(core::encounter_from_json(e));
     const auto locked = storage_.locked_user(user);
     // Replay guard mirroring the routes "seq": the batch declares the
     // device-side log index of its first entry, and entries below the
     // high-water mark were already applied by an earlier attempt.
-    const auto& batch = req.body.at("encounters").as_array();
     std::size_t skip = 0;
     if (req.body.contains("first_index")) {
       const auto first =
@@ -566,13 +525,9 @@ void CloudInstance::register_routes() {
       locked->encounter_high_water =
           std::max(locked->encounter_high_water, first + batch.size());
     }
-    for (std::size_t i = skip; i < batch.size(); ++i) {
-      const auto& e = batch[i];
-      locked->encounters.push_back(
-          {static_cast<world::DeviceId>(e.at("contact").as_int()),
-           static_cast<core::PlaceUid>(e.at("place").as_int()),
-           e.at("start").as_int(), e.at("end").as_int()});
-    }
+    locked->encounters.insert(locked->encounters.end(),
+                              batch.begin() + static_cast<std::ptrdiff_t>(skip),
+                              batch.end());
     return HttpResponse::json(Json::object(), net::kStatusCreated);
   });
 
@@ -587,12 +542,7 @@ void CloudInstance::register_routes() {
     const auto locked = storage_.locked_user(user);
     for (const auto& e : locked->encounters) {
       if (place_filter && e.place != *place_filter) continue;
-      Json o = Json::object();
-      o.set("contact", static_cast<std::uint64_t>(e.contact));
-      o.set("place", static_cast<std::uint64_t>(e.place));
-      o.set("start", e.start);
-      o.set("end", e.end);
-      arr.push_back(std::move(o));
+      arr.push_back(core::to_json(e));
     }
     Json body = Json::object();
     body.set("encounters", std::move(arr));
@@ -639,11 +589,7 @@ void CloudInstance::register_routes() {
     const auto it = profiles.find(day);
     if (it == profiles.end() || it->second.activity.empty())
       return HttpResponse::error(net::kStatusNotFound, "no activity for day");
-    Json body = Json::object();
-    body.set("still", it->second.activity.still);
-    body.set("walking", it->second.activity.walking);
-    body.set("vehicle", it->second.activity.vehicle);
-    return HttpResponse::json(std::move(body));
+    return HttpResponse::json(core::to_json(it->second.activity));
   });
 
   // --- Geo-location API (§2.3.3 "miscellaneous services") ---

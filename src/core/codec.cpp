@@ -1,6 +1,9 @@
 #include "core/codec.hpp"
 
+#include <cstdlib>
 #include <stdexcept>
+
+#include "util/strfmt.hpp"
 
 namespace pmware::core {
 
@@ -126,6 +129,159 @@ PlaceRecord place_record_from_json(const Json& j) {
   return record;
 }
 
+Json to_json(const algorithms::CellObservation& obs) {
+  Json j = Json::object();
+  j.set("t", obs.t);
+  j.set("cell", to_json(obs.cell));
+  return j;
+}
+
+algorithms::CellObservation observation_from_json(const Json& j) {
+  return {j.at("t").as_int(), cell_from_json(j.at("cell"))};
+}
+
+Json to_json(const algorithms::GcaResult& result) {
+  Json places = Json::array();
+  for (const auto& cluster : result.places) {
+    Json p = Json::object();
+    p.set("signature", to_json(algorithms::PlaceSignature(cluster.signature)));
+    p.set("total_dwell", static_cast<std::int64_t>(cluster.total_dwell));
+    places.push_back(std::move(p));
+  }
+  Json visits = Json::array();
+  for (const auto& v : result.visits) {
+    Json e = Json::object();
+    e.set("place", static_cast<std::uint64_t>(v.place_index));
+    e.set("arrival", v.window.begin);
+    e.set("departure", v.window.end);
+    visits.push_back(std::move(e));
+  }
+  Json j = Json::object();
+  j.set("places", std::move(places));
+  j.set("visits", std::move(visits));
+  return j;
+}
+
+algorithms::GcaResult gca_result_from_json(const Json& j) {
+  algorithms::GcaResult result;
+  for (const auto& p : j.at("places").as_array()) {
+    auto sig = signature_from_json(p.at("signature"));
+    auto* cells = std::get_if<algorithms::CellSignature>(&sig);
+    if (cells == nullptr) throw JsonError("GCA place signature is not cells");
+    algorithms::CellCluster cluster;
+    cluster.signature = std::move(*cells);
+    cluster.total_dwell = p.at("total_dwell").as_int();
+    const std::size_t index = result.places.size();
+    for (const auto& cell : cluster.signature.cells)
+      result.cell_to_place[cell] = index;
+    result.places.push_back(std::move(cluster));
+  }
+  for (const auto& v : j.at("visits").as_array()) {
+    result.visits.push_back(
+        {static_cast<std::size_t>(v.at("place").as_int()),
+         TimeWindow{v.at("arrival").as_int(), v.at("departure").as_int()}});
+  }
+  return result;
+}
+
+Json to_json(const algorithms::RouteObservation& route) {
+  Json j = Json::object();
+  j.set("from", static_cast<std::uint64_t>(route.from_place));
+  j.set("to", static_cast<std::uint64_t>(route.to_place));
+  j.set("start", route.window.begin);
+  j.set("end", route.window.end);
+  if (!route.cells.cells.empty()) {
+    Json cells = Json::array();
+    for (std::size_t i = 0; i < route.cells.cells.size(); ++i)
+      cells.push_back(to_json(algorithms::CellObservation{
+          route.cells.times[i], route.cells.cells[i]}));
+    j.set("cells", std::move(cells));
+  }
+  if (!route.gps.points.empty()) {
+    Json gps = Json::array();
+    for (std::size_t i = 0; i < route.gps.points.size(); ++i) {
+      Json g = to_json(route.gps.points[i]);
+      g.set("t", route.gps.times[i]);
+      gps.push_back(std::move(g));
+    }
+    j.set("gps", std::move(gps));
+  }
+  return j;
+}
+
+algorithms::RouteObservation route_from_json(const Json& j) {
+  algorithms::RouteObservation route;
+  route.from_place = static_cast<std::size_t>(j.get_int("from", 0));
+  route.to_place = static_cast<std::size_t>(j.get_int("to", 0));
+  route.window = TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
+  if (j.contains("cells")) {
+    for (const auto& c : j.at("cells").as_array()) {
+      const algorithms::CellObservation obs = observation_from_json(c);
+      route.cells.times.push_back(obs.t);
+      route.cells.cells.push_back(obs.cell);
+    }
+  }
+  if (j.contains("gps")) {
+    for (const auto& g : j.at("gps").as_array()) {
+      route.gps.times.push_back(g.at("t").as_int());
+      route.gps.points.push_back(latlng_from_json(g));
+    }
+  }
+  return route;
+}
+
+Json to_json(const RouteEvent& event) {
+  Json j = Json::object();
+  j.set("route_uid", event.route_uid);
+  j.set("from", event.from);
+  j.set("to", event.to);
+  j.set("start", event.window.begin);
+  j.set("end", event.window.end);
+  j.set("high_accuracy", event.high_accuracy);
+  return j;
+}
+
+RouteEvent route_event_from_json(const Json& j) {
+  RouteEvent event;
+  event.route_uid = static_cast<std::uint64_t>(j.get_int("route_uid", 0));
+  event.from = static_cast<PlaceUid>(j.get_int("from", 0));
+  event.to = static_cast<PlaceUid>(j.get_int("to", 0));
+  event.window = TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
+  event.high_accuracy = j.get_bool("high_accuracy", false);
+  return event;
+}
+
+Json to_json(const EncounterEntry& encounter) {
+  Json j = Json::object();
+  j.set("contact", static_cast<std::uint64_t>(encounter.contact));
+  j.set("place", static_cast<std::uint64_t>(encounter.place));
+  j.set("start", encounter.start);
+  j.set("end", encounter.end);
+  return j;
+}
+
+EncounterEntry encounter_from_json(const Json& j) {
+  return {static_cast<world::DeviceId>(j.at("contact").as_int()),
+          static_cast<PlaceUid>(j.at("place").as_int()),
+          j.at("start").as_int(), j.at("end").as_int()};
+}
+
+Json to_json(const ActivitySummary& activity) {
+  Json j = Json::object();
+  j.set("still", activity.still);
+  j.set("walking", activity.walking);
+  j.set("vehicle", activity.vehicle);
+  return j;
+}
+
+ActivitySummary activity_from_json(const Json& j) {
+  ActivitySummary activity;
+  activity.still = j.get_int("still", 0);
+  activity.walking = j.get_int("walking", 0);
+  activity.vehicle = j.get_int("vehicle", 0);
+  return activity;
+}
+
 Json to_json(const MobilityProfile& profile) {
   Json j = Json::object();
   j.set("user", static_cast<std::uint64_t>(profile.user));
@@ -152,23 +308,10 @@ Json to_json(const MobilityProfile& profile) {
   j.set("routes", std::move(routes));
 
   Json encounters = Json::array();
-  for (const auto& h : profile.encounters) {
-    Json e = Json::object();
-    e.set("contact", static_cast<std::uint64_t>(h.contact));
-    e.set("place", static_cast<std::uint64_t>(h.place));
-    e.set("start", h.start);
-    e.set("end", h.end);
-    encounters.push_back(std::move(e));
-  }
+  for (const auto& h : profile.encounters) encounters.push_back(to_json(h));
   j.set("encounters", std::move(encounters));
 
-  if (!profile.activity.empty()) {
-    Json activity = Json::object();
-    activity.set("still", profile.activity.still);
-    activity.set("walking", profile.activity.walking);
-    activity.set("vehicle", profile.activity.vehicle);
-    j.set("activity", std::move(activity));
-  }
+  if (!profile.activity.empty()) j.set("activity", to_json(profile.activity));
   return j;
 }
 
@@ -185,19 +328,19 @@ MobilityProfile profile_from_json(const Json& j) {
     profile.routes.push_back({static_cast<std::uint64_t>(e.at("route").as_int()),
                               e.at("start").as_int(), e.at("end").as_int()});
   }
-  for (const auto& e : j.at("encounters").as_array()) {
-    profile.encounters.push_back(
-        {static_cast<world::DeviceId>(e.at("contact").as_int()),
-         static_cast<PlaceUid>(e.at("place").as_int()),
-         e.at("start").as_int(), e.at("end").as_int()});
-  }
-  if (j.contains("activity")) {
-    const Json& activity = j.at("activity");
-    profile.activity.still = activity.get_int("still", 0);
-    profile.activity.walking = activity.get_int("walking", 0);
-    profile.activity.vehicle = activity.get_int("vehicle", 0);
-  }
+  for (const auto& e : j.at("encounters").as_array())
+    profile.encounters.push_back(encounter_from_json(e));
+  if (j.contains("activity"))
+    profile.activity = activity_from_json(j.at("activity"));
   return profile;
+}
+
+std::string digest_to_hex(std::uint64_t digest) {
+  return strfmt("%016llx", static_cast<unsigned long long>(digest));
+}
+
+std::uint64_t digest_from_hex(const std::string& text) {
+  return std::strtoull(text.c_str(), nullptr, 16);
 }
 
 }  // namespace pmware::core

@@ -1,7 +1,6 @@
 #include "core/persistence.hpp"
 
 #include <istream>
-#include <ostream>
 #include <string>
 
 #include "core/codec.hpp"
@@ -9,19 +8,14 @@
 
 namespace pmware::core {
 
-namespace {
-
-/// Applies `parse` to every non-empty line; rethrows JSON errors as
-/// PersistenceError with the line number.
-///
 /// Crash tolerance: a malformed FINAL line that the stream cut off without a
 /// trailing newline is a torn append (the writer died mid-line), not
 /// corruption — the reader keeps the parsed prefix, counts the event in
 /// persistence_torn_tail_total, and returns instead of throwing. A complete
 /// (newline-terminated) line that fails to parse still throws: that is
 /// bit-rot, and silently skipping it would hide data loss.
-template <typename Fn>
-void for_each_line(std::istream& in, Fn parse) {
+void read_jsonl(std::istream& in,
+                const std::function<void(const Json&)>& decode) {
   std::string line;
   std::size_t number = 0;
   while (std::getline(in, line)) {
@@ -31,7 +25,7 @@ void for_each_line(std::istream& in, Fn parse) {
     const bool unterminated = in.eof();
     if (line.empty()) continue;
     try {
-      parse(Json::parse(line));
+      decode(Json::parse(line));
     } catch (const JsonError& error) {
       if (unterminated) {
         telemetry::registry()
@@ -51,39 +45,32 @@ void for_each_line(std::istream& in, Fn parse) {
   }
 }
 
-}  // namespace
-
 void write_gsm_log(std::ostream& out,
                    std::span<const algorithms::CellObservation> log) {
-  for (const auto& obs : log) {
-    Json j = Json::object();
-    j.set("t", obs.t);
-    j.set("cell", to_json(obs.cell));
-    out << j.dump() << '\n';
-  }
+  write_jsonl(out, log, [](const auto& obs) { return to_json(obs); });
 }
 
 std::vector<algorithms::CellObservation> read_gsm_log(std::istream& in) {
   std::vector<algorithms::CellObservation> log;
-  for_each_line(in, [&log](const Json& j) {
-    log.push_back({j.at("t").as_int(), cell_from_json(j.at("cell"))});
+  read_jsonl(in, [&log](const Json& j) {
+    log.push_back(observation_from_json(j));
   });
   return log;
 }
 
 void write_visit_log(std::ostream& out, std::span<const LoggedVisit> log) {
-  for (const auto& visit : log) {
+  write_jsonl(out, log, [](const LoggedVisit& visit) {
     Json j = Json::object();
     j.set("uid", static_cast<std::uint64_t>(visit.uid));
     j.set("begin", visit.window.begin);
     j.set("end", visit.window.end);
-    out << j.dump() << '\n';
-  }
+    return j;
+  });
 }
 
 std::vector<LoggedVisit> read_visit_log(std::istream& in) {
   std::vector<LoggedVisit> log;
-  for_each_line(in, [&log](const Json& j) {
+  read_jsonl(in, [&log](const Json& j) {
     log.push_back({static_cast<PlaceUid>(j.at("uid").as_int()),
                    TimeWindow{j.at("begin").as_int(), j.at("end").as_int()}});
   });
@@ -91,13 +78,13 @@ std::vector<LoggedVisit> read_visit_log(std::istream& in) {
 }
 
 void write_place_records(std::ostream& out, const PlaceStore& store) {
-  for (const auto& [uid, record] : store.records())
-    out << to_json(record).dump() << '\n';
+  write_jsonl(out, store.records(),
+              [](const auto& entry) { return to_json(entry.second); });
 }
 
 std::vector<PlaceRecord> read_place_records(std::istream& in) {
   std::vector<PlaceRecord> records;
-  for_each_line(in, [&records](const Json& j) {
+  read_jsonl(in, [&records](const Json& j) {
     records.push_back(place_record_from_json(j));
   });
   return records;
@@ -105,13 +92,13 @@ std::vector<PlaceRecord> read_place_records(std::istream& in) {
 
 void write_profiles(std::ostream& out,
                     std::span<const MobilityProfile> profiles) {
-  for (const auto& profile : profiles)
-    out << to_json(profile).dump() << '\n';
+  write_jsonl(out, profiles,
+              [](const auto& profile) { return to_json(profile); });
 }
 
 std::vector<MobilityProfile> read_profiles(std::istream& in) {
   std::vector<MobilityProfile> profiles;
-  for_each_line(in, [&profiles](const Json& j) {
+  read_jsonl(in, [&profiles](const Json& j) {
     profiles.push_back(profile_from_json(j));
   });
   return profiles;

@@ -6,7 +6,8 @@
 // line, append-friendly, stream-based so it is storage-agnostic).
 #pragma once
 
-#include <iosfwd>
+#include <functional>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -14,8 +15,20 @@
 #include "core/inference_engine.hpp"
 #include "core/model.hpp"
 #include "core/place_store.hpp"
+#include "util/json.hpp"
 
 namespace pmware::core {
+
+// --- Generic JSONL (the readers/writers below, each checkpoint section) ---
+/// Writes `encode(item)` as one JSON line per item of `items`.
+template <typename Range, typename Encode>
+void write_jsonl(std::ostream& out, const Range& items, Encode encode) {
+  for (const auto& item : items) out << encode(item).dump() << '\n';
+}
+/// Applies `decode` to every non-empty line of `in`. A line that fails to
+/// parse or decode throws PersistenceError (see its contract below).
+void read_jsonl(std::istream& in,
+                const std::function<void(const Json&)>& decode);
 
 // --- GSM observation log (the GCA input that gets offloaded) ---
 void write_gsm_log(std::ostream& out,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 
 #include "cache/digest.hpp"
@@ -47,8 +46,8 @@ constexpr const char* kFailureKinds[] = {"profile", "place", "place_delete",
                                          "route",   "encounter", "label",
                                          "wipe"};
 
-// Digest primitives (dirty detection, the movement digest) come from the
-// cache subsystem so device and cloud derive identical values.
+// Digest primitives for dirty detection come from the cache subsystem; the
+// movement digest comes from core/codec, shared with the cloud.
 using cache::fnv1a;
 using cache::fold;
 constexpr std::uint64_t kDigestBasis = cache::kDigestBasis;
@@ -59,18 +58,15 @@ constexpr const char* kGcaCacheName = "pms_gca";
 // --- Checkpoint wire format (Pms::save/restore) ---
 // A manifest line {"format","version","lines","digest"} followed by `lines`
 // JSONL lines of sectioned body: each section is a {"section","lines"} header
-// followed by that many payload lines. The digest is fnv1a over the body
-// bytes, so restore() detects a torn or bit-flipped checkpoint before
-// committing anything.
+// followed by that many payload lines, one codec-encoded value each. The
+// digest is fnv1a over the body bytes, so restore() detects a torn or
+// bit-flipped checkpoint before committing anything.
 constexpr const char* kCheckpointFormat = "pms-checkpoint";
 constexpr std::int64_t kCheckpointVersion = 1;
 
-std::uint64_t parse_hex64(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 16);
-}
-
-std::string hex64(std::uint64_t value) {
-  return strfmt("%016llx", static_cast<unsigned long long>(value));
+/// The engine's encounter event in the model's (wire and checkpoint) shape.
+EncounterEntry entry_of(const EncounterEvent& event) {
+  return {event.contact, event.place, event.window.begin, event.window.end};
 }
 
 }  // namespace
@@ -229,10 +225,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
     upload_acked_ = 0;
     upload_digest_ = cache::kDigestBasis;
   }
-  for (std::size_t i = digest_fed_; i < observations.size(); ++i) {
-    cache::fold(digest_, static_cast<std::uint64_t>(observations[i].t));
-    cache::fold(digest_, observations[i].cell.key());
-  }
+  digest_ = movement_digest(observations.subspan(digest_fed_), digest_);
   digest_fed_ = observations.size();
   const std::uint64_t graph_digest = digest_;
 
@@ -262,18 +255,13 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
       net::HttpRequest request =
           make_request(net::Method::Post, "/api/places/discover", now);
       Json arr = Json::array();
-      for (std::size_t i = from; i < observations.size(); ++i) {
-        Json o = Json::object();
-        o.set("t", observations[i].t);
-        o.set("cell", to_json(observations[i].cell));
-        arr.push_back(std::move(o));
-      }
+      for (std::size_t i = from; i < observations.size(); ++i)
+        arr.push_back(to_json(observations[i]));
       request.body = Json::object();
       request.body.set("observations", std::move(arr));
       if (with_prefix) {
         request.body.set("prefix_len", static_cast<std::int64_t>(from));
-        request.body.set("prefix_digest", strfmt("%016llx",
-            static_cast<unsigned long long>(upload_digest_)));
+        request.body.set("prefix_digest", digest_to_hex(upload_digest_));
       }
       return request;
     };
@@ -291,22 +279,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
       upload_digest_ = graph_digest;
       counter(kGcaOffloads, "GCA clustering passes offloaded to the cloud")
           .inc();
-      algorithms::GcaResult result;
-      for (const auto& p : response.body.at("places").as_array()) {
-        const auto sig = signature_from_json(p.at("signature"));
-        algorithms::CellCluster cluster;
-        cluster.signature = std::get<algorithms::CellSignature>(sig);
-        cluster.total_dwell = p.at("total_dwell").as_int();
-        const std::size_t index = result.places.size();
-        for (const auto& cell : cluster.signature.cells)
-          result.cell_to_place[cell] = index;
-        result.places.push_back(std::move(cluster));
-      }
-      for (const auto& v : response.body.at("visits").as_array()) {
-        result.visits.push_back(
-            {static_cast<std::size_t>(v.at("place").as_int()),
-             TimeWindow{v.at("arrival").as_int(), v.at("departure").as_int()}});
-      }
+      algorithms::GcaResult result = gca_result_from_json(response.body);
       remember(result);
       return result;
     }
@@ -346,7 +319,7 @@ void PmwareMobileService::housekeeping(SimTime now) {
   // Refresh credentials next: the recluster below may offload to the cloud.
   maybe_refresh_token(now);
   engine_.recluster(now);
-  if (config_.cloud_sync && client_ != nullptr && user_id_) {
+  if (client_ != nullptr && user_id_) {
     const std::int64_t up_to = day_of(now) - (time_of_day(now) == 0 ? 1 : 0);
     enqueue_sync_work(up_to, now);
     drain_outbox(now);
@@ -546,11 +519,15 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       const auto& canonical = engine_.routes().routes();
       if (event.route_uid >= canonical.size())
         return DeliverOutcome::Delivered;  // not canonical
-      const algorithms::RouteObservation& rep =
+      // The canonical route's path, between this journey's places and times.
+      algorithms::RouteObservation journey =
           canonical[event.route_uid].representative;
+      journey.from_place = static_cast<std::size_t>(event.from);
+      journey.to_place = static_cast<std::size_t>(event.to);
+      journey.window = event.window;
       net::HttpRequest request = entry_request(
           net::Method::Post, strfmt("/api/users/%u/routes", *user_id_));
-      request.body = Json::object();
+      request.body = to_json(journey);
       // Replay guard: the cloud skips sequence numbers it already applied.
       // Qualified by the boot epoch the entry was enqueued under: a
       // checkpointed entry replayed after a crash keeps its original
@@ -558,29 +535,6 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       // delivery), while the new incarnation's fresh log indices sit in a
       // strictly higher epoch and can never be wrongly deduplicated.
       request.body.set("seq", (entry.epoch << 32) | entry.key);
-      request.body.set("from", static_cast<std::uint64_t>(event.from));
-      request.body.set("to", static_cast<std::uint64_t>(event.to));
-      request.body.set("start", event.window.begin);
-      request.body.set("end", event.window.end);
-      if (!rep.cells.cells.empty()) {
-        Json cells = Json::array();
-        for (std::size_t i = 0; i < rep.cells.cells.size(); ++i) {
-          Json c = Json::object();
-          c.set("t", rep.cells.times[i]);
-          c.set("cell", to_json(rep.cells.cells[i]));
-          cells.push_back(std::move(c));
-        }
-        request.body.set("cells", std::move(cells));
-      }
-      if (!rep.gps.points.empty()) {
-        Json gps = Json::array();
-        for (std::size_t i = 0; i < rep.gps.points.size(); ++i) {
-          Json g = to_json(rep.gps.points[i]);
-          g.set("t", rep.gps.times[i]);
-          gps.push_back(std::move(g));
-        }
-        request.body.set("gps", std::move(gps));
-      }
       return verdict(client_->send(request));
     }
     case SyncKind::EncounterBatch: {
@@ -592,15 +546,8 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       net::HttpRequest request = entry_request(
           net::Method::Post, strfmt("/api/users/%u/contacts", *user_id_));
       Json encounters = Json::array();
-      for (std::size_t i = first; i < last; ++i) {
-        const EncounterEvent& event = encounter_log[i];
-        Json e = Json::object();
-        e.set("contact", static_cast<std::uint64_t>(event.contact));
-        e.set("place", static_cast<std::uint64_t>(event.place));
-        e.set("start", event.window.begin);
-        e.set("end", event.window.end);
-        encounters.push_back(std::move(e));
-      }
+      for (std::size_t i = first; i < last; ++i)
+        encounters.push_back(to_json(entry_of(encounter_log[i])));
       request.body = Json::object();
       // Replay guard: the cloud trims entries below its high-water mark.
       // Epoch-qualified like route sequence numbers; same-epoch ranges are
@@ -789,17 +736,25 @@ bool PmwareMobileService::wipe_cloud_data(SimTime now) {
 
 void PmwareMobileService::save(std::ostream& out) const {
   std::ostringstream body;
-  const auto emit_section = [&body](const char* name,
-                                    const std::string& payload) {
-    std::size_t lines = 0;
-    for (const char c : payload) lines += (c == '\n');
+  // One section: a {"section","lines"} header, then what `write` emits.
+  const auto section = [&body](const char* name, const auto& write) {
+    std::ostringstream s;
+    write(s);
+    const std::string payload = s.str();
     Json header = Json::object();
     header.set("section", name);
-    header.set("lines", static_cast<std::int64_t>(lines));
+    header.set("lines", static_cast<std::int64_t>(
+                            std::count(payload.begin(), payload.end(), '\n')));
     body << header.dump() << '\n' << payload;
   };
+  const auto digest_line = [](const char* key, const auto& entry) {
+    Json j = Json::object();
+    j.set(key, entry.first);
+    j.set("digest", digest_to_hex(entry.second));
+    return j;
+  };
 
-  {
+  section("scalars", [&](std::ostream& s) {
     Json j = Json::object();
     j.set("registration_wanted", registration_wanted_);
     j.set("next_uid", place_store_.next_uid());
@@ -812,12 +767,12 @@ void PmwareMobileService::save(std::ostream& out) const {
     // claim fails, the next pass answers 409, and a full upload re-syncs —
     // self-healing, never silently wrong.
     j.set("digest_fed", static_cast<std::uint64_t>(digest_fed_));
-    j.set("digest", hex64(digest_));
+    j.set("digest", digest_to_hex(digest_));
     j.set("upload_acked", static_cast<std::uint64_t>(upload_acked_));
-    j.set("upload_digest", hex64(upload_digest_));
-    emit_section("scalars", j.dump() + "\n");
-  }
-  {
+    j.set("upload_digest", digest_to_hex(upload_digest_));
+    s << j.dump() << '\n';
+  });
+  section("preferences", [&](std::ostream& s) {
     Json j = Json::object();
     j.set("sharing_enabled", preferences_.sharing_enabled());
     Json caps = Json::array();
@@ -828,150 +783,56 @@ void PmwareMobileService::save(std::ostream& out) const {
       caps.push_back(std::move(c));
     }
     j.set("caps", std::move(caps));
-    emit_section("preferences", j.dump() + "\n");
-  }
-  {
-    std::ostringstream s;
-    write_gsm_log(s, engine_.gsm_log());
-    emit_section("gsm_log", s.str());
-  }
-  {
-    std::ostringstream s;
-    write_visit_log(s, engine_.visit_log());
-    emit_section("visit_log", s.str());
-  }
-  {
-    std::ostringstream s;
-    write_place_records(s, place_store_);
-    emit_section("places", s.str());
-  }
-  {
-    // Day profiles are a derived export (recomputed from the logs above),
-    // checkpointed so the on-disk artifact is a complete account of the
-    // device; restore() validates and discards them.
-    std::int64_t last_day = -1;
-    const auto bump = [&last_day](const TimeWindow& w) {
-      last_day = std::max(last_day, day_of(std::max(w.end - 1, w.begin)));
-    };
-    for (const auto& visit : engine_.visit_log()) bump(visit.window);
-    for (const auto& route : engine_.route_log()) bump(route.window);
-    for (const auto& enc : engine_.encounter_log()) bump(enc.window);
-    if (!engine_.activity_log().empty())
-      last_day = std::max(last_day, engine_.activity_log().rbegin()->first);
-    std::vector<MobilityProfile> profiles;
-    for (std::int64_t day = 0; day <= last_day; ++day) {
-      MobilityProfile profile = profile_for(day);
-      if (!profile.empty()) profiles.push_back(std::move(profile));
-    }
-    std::ostringstream s;
-    write_profiles(s, profiles);
-    emit_section("profiles", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& event : engine_.route_log()) {
-      Json j = Json::object();
-      j.set("route_uid", event.route_uid);
-      j.set("from", event.from);
-      j.set("to", event.to);
-      j.set("start", event.window.begin);
-      j.set("end", event.window.end);
-      j.set("high_accuracy", event.high_accuracy);
-      s << j.dump() << '\n';
-    }
-    emit_section("route_log", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& route : engine_.routes().routes()) {
-      const algorithms::RouteObservation& rep = route.representative;
-      Json j = Json::object();
-      j.set("use_count", static_cast<std::uint64_t>(route.use_count));
-      j.set("from", static_cast<std::uint64_t>(rep.from_place));
-      j.set("to", static_cast<std::uint64_t>(rep.to_place));
-      j.set("start", rep.window.begin);
-      j.set("end", rep.window.end);
-      if (!rep.cells.cells.empty()) {
-        Json cells = Json::array();
-        for (std::size_t i = 0; i < rep.cells.cells.size(); ++i) {
-          Json c = Json::object();
-          c.set("t", rep.cells.times[i]);
-          c.set("cell", to_json(rep.cells.cells[i]));
-          cells.push_back(std::move(c));
-        }
-        j.set("cells", std::move(cells));
-      }
-      if (!rep.gps.points.empty()) {
-        Json gps = Json::array();
-        for (std::size_t i = 0; i < rep.gps.points.size(); ++i) {
-          Json g = to_json(rep.gps.points[i]);
-          g.set("t", rep.gps.times[i]);
-          gps.push_back(std::move(g));
-        }
-        j.set("gps", std::move(gps));
-      }
-      s << j.dump() << '\n';
-    }
-    emit_section("route_store", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& enc : engine_.encounter_log()) {
-      Json j = Json::object();
-      j.set("contact", static_cast<std::uint64_t>(enc.contact));
-      j.set("place", enc.place);
-      j.set("start", enc.window.begin);
-      j.set("end", enc.window.end);
-      s << j.dump() << '\n';
-    }
-    emit_section("encounters", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& [day, summary] : engine_.activity_log()) {
-      Json j = Json::object();
-      j.set("day", day);
-      j.set("still", summary.still);
-      j.set("walking", summary.walking);
-      j.set("vehicle", summary.vehicle);
-      s << j.dump() << '\n';
-    }
-    emit_section("activity", s.str());
-  }
-  {
-    std::ostringstream s;
-    outbox_.save(s);
-    emit_section("outbox", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& [day, digest] : synced_day_digest_) {
-      Json j = Json::object();
-      j.set("day", day);
-      j.set("digest", hex64(digest));
-      s << j.dump() << '\n';
-    }
-    emit_section("synced_days", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& [uid, digest] : synced_place_digest_) {
-      Json j = Json::object();
-      j.set("uid", uid);
-      j.set("digest", hex64(digest));
-      s << j.dump() << '\n';
-    }
-    emit_section("synced_places", s.str());
-  }
+    s << j.dump() << '\n';
+  });
+  section("gsm_log",
+          [&](std::ostream& s) { write_gsm_log(s, engine_.gsm_log()); });
+  section("visit_log",
+          [&](std::ostream& s) { write_visit_log(s, engine_.visit_log()); });
+  section("places",
+          [&](std::ostream& s) { write_place_records(s, place_store_); });
+  section("route_log", [&](std::ostream& s) {
+    write_jsonl(s, engine_.route_log(),
+                [](const RouteEvent& event) { return to_json(event); });
+  });
+  section("route_store", [&](std::ostream& s) {
+    write_jsonl(s, engine_.routes().routes(),
+                [](const algorithms::CanonicalRoute& route) {
+                  Json j = to_json(route.representative);
+                  j.set("use_count",
+                        static_cast<std::uint64_t>(route.use_count));
+                  return j;
+                });
+  });
+  section("encounters", [&](std::ostream& s) {
+    write_jsonl(s, engine_.encounter_log(), [](const EncounterEvent& event) {
+      return to_json(entry_of(event));
+    });
+  });
+  section("activity", [&](std::ostream& s) {
+    write_jsonl(s, engine_.activity_log(), [](const auto& entry) {
+      Json j = to_json(entry.second);
+      j.set("day", entry.first);
+      return j;
+    });
+  });
+  section("outbox", [&](std::ostream& s) { outbox_.save(s); });
+  section("synced_days", [&](std::ostream& s) {
+    write_jsonl(s, synced_day_digest_,
+                [&](const auto& entry) { return digest_line("day", entry); });
+  });
+  section("synced_places", [&](std::ostream& s) {
+    write_jsonl(s, synced_place_digest_,
+                [&](const auto& entry) { return digest_line("uid", entry); });
+  });
 
   const std::string payload = body.str();
-  std::size_t total_lines = 0;
-  for (const char c : payload) total_lines += (c == '\n');
   Json manifest = Json::object();
   manifest.set("format", kCheckpointFormat);
   manifest.set("version", kCheckpointVersion);
-  manifest.set("lines", static_cast<std::int64_t>(total_lines));
-  manifest.set("digest", hex64(fnv1a(payload)));
+  manifest.set("lines", static_cast<std::int64_t>(
+                            std::count(payload.begin(), payload.end(), '\n')));
+  manifest.set("digest", digest_to_hex(fnv1a(payload)));
   const std::string head = manifest.dump();
   out << head << '\n' << payload;
   telemetry::registry()
@@ -993,21 +854,19 @@ bool PmwareMobileService::restore(std::istream& in) {
     const std::int64_t lines = manifest.get_int("lines", -1);
     if (lines < 0) return false;
     expected_lines = static_cast<std::size_t>(lines);
-    expected_digest = parse_hex64(manifest.get_string("digest", ""));
+    expected_digest = digest_from_hex(manifest.get_string("digest", ""));
   } catch (const JsonError&) {
     return false;
   }
   // A short read (torn checkpoint) or a digest mismatch (bit rot, a torn
   // final line) both fail before anything is touched.
-  std::vector<std::string> lines;
-  lines.reserve(expected_lines);
   std::string payload;
-  while (lines.size() < expected_lines && std::getline(in, line)) {
+  std::size_t read = 0;
+  for (; read < expected_lines && std::getline(in, line); ++read) {
     payload += line;
     payload += '\n';
-    lines.push_back(std::move(line));
   }
-  if (lines.size() < expected_lines) return false;
+  if (read < expected_lines) return false;
   // save() always terminates the body with a newline; getline() would
   // happily heal a checkpoint whose final '\n' was torn off (the rebuilt
   // payload is byte-identical), so the missing delimiter itself — eofbit
@@ -1034,124 +893,86 @@ bool PmwareMobileService::restore(std::istream& in) {
   std::map<std::int64_t, std::uint64_t> synced_days;
   std::map<PlaceUid, std::uint64_t> synced_places;
   try {
-    std::size_t i = 0;
-    while (i < lines.size()) {
-      const Json header = Json::parse(lines[i++]);
+    std::istringstream body(payload);
+    std::size_t remaining = expected_lines;
+    while (remaining > 0 && std::getline(body, line)) {
+      --remaining;
+      const Json header = Json::parse(line);
       const std::string name = header.get_string("section", "");
       const std::int64_t declared = header.get_int("lines", -1);
-      if (declared < 0 ||
-          static_cast<std::size_t>(declared) > lines.size() - i)
+      if (declared < 0 || static_cast<std::size_t>(declared) > remaining)
         return false;
-      const std::size_t count = static_cast<std::size_t>(declared);
+      remaining -= static_cast<std::size_t>(declared);
       std::string chunk;
-      for (std::size_t k = 0; k < count; ++k) {
-        chunk += lines[i + k];
+      for (std::int64_t k = 0; k < declared && std::getline(body, line); ++k) {
+        chunk += line;
         chunk += '\n';
       }
-      i += count;
       std::istringstream section(chunk);
       if (name == "scalars") {
-        const Json j = Json::parse(lines[i - count]);
-        wanted = j.get_bool("registration_wanted", false);
-        next_uid = static_cast<PlaceUid>(j.get_int("next_uid", 1));
-        routes_enqueued =
-            static_cast<std::size_t>(j.get_int("routes_enqueued", 0));
-        encounters_enqueued =
-            static_cast<std::size_t>(j.get_int("encounters_enqueued", 0));
-        digest_fed = static_cast<std::size_t>(j.get_int("digest_fed", 0));
-        digest = parse_hex64(j.get_string("digest", "cbf29ce484222325"));
-        upload_acked =
-            static_cast<std::size_t>(j.get_int("upload_acked", 0));
-        upload_digest =
-            parse_hex64(j.get_string("upload_digest", "cbf29ce484222325"));
+        read_jsonl(section, [&](const Json& j) {
+          wanted = j.get_bool("registration_wanted", false);
+          next_uid = static_cast<PlaceUid>(j.get_int("next_uid", 1));
+          routes_enqueued =
+              static_cast<std::size_t>(j.get_int("routes_enqueued", 0));
+          encounters_enqueued =
+              static_cast<std::size_t>(j.get_int("encounters_enqueued", 0));
+          digest_fed = static_cast<std::size_t>(j.get_int("digest_fed", 0));
+          digest = digest_from_hex(
+              j.get_string("digest", digest_to_hex(kDigestBasis)));
+          upload_acked =
+              static_cast<std::size_t>(j.get_int("upload_acked", 0));
+          upload_digest = digest_from_hex(
+              j.get_string("upload_digest", digest_to_hex(kDigestBasis)));
+        });
       } else if (name == "preferences") {
-        const Json j = Json::parse(lines[i - count]);
-        sharing = j.get_bool("sharing_enabled", true);
-        if (j.contains("caps")) {
-          for (const auto& c : j.at("caps").as_array())
-            caps.emplace_back(
-                c.at("app").as_string(),
-                static_cast<Granularity>(c.at("cap").as_int()));
-        }
+        read_jsonl(section, [&](const Json& j) {
+          sharing = j.get_bool("sharing_enabled", true);
+          if (j.contains("caps")) {
+            for (const auto& c : j.at("caps").as_array())
+              caps.emplace_back(
+                  c.at("app").as_string(),
+                  static_cast<Granularity>(c.at("cap").as_int()));
+          }
+        });
       } else if (name == "gsm_log") {
         snapshot.gsm_log = read_gsm_log(section);
       } else if (name == "visit_log") {
         snapshot.visit_log = read_visit_log(section);
       } else if (name == "places") {
         places = read_place_records(section);
-      } else if (name == "profiles") {
-        read_profiles(section);  // derived product: validate and discard
       } else if (name == "route_log") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          RouteEvent event;
-          event.route_uid =
-              static_cast<std::uint64_t>(j.get_int("route_uid", 0));
-          event.from = static_cast<PlaceUid>(j.get_int("from", 0));
-          event.to = static_cast<PlaceUid>(j.get_int("to", 0));
-          event.window =
-              TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
-          event.high_accuracy = j.get_bool("high_accuracy", false);
-          snapshot.route_log.push_back(event);
-        }
+        read_jsonl(section, [&](const Json& j) {
+          snapshot.route_log.push_back(route_event_from_json(j));
+        });
       } else if (name == "route_store") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          algorithms::CanonicalRoute route;
-          route.use_count =
-              static_cast<std::size_t>(j.get_int("use_count", 1));
-          algorithms::RouteObservation& rep = route.representative;
-          rep.from_place = static_cast<std::size_t>(j.get_int("from", 0));
-          rep.to_place = static_cast<std::size_t>(j.get_int("to", 0));
-          rep.window = TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
-          if (j.contains("cells")) {
-            for (const auto& c : j.at("cells").as_array()) {
-              rep.cells.times.push_back(c.at("t").as_int());
-              rep.cells.cells.push_back(cell_from_json(c.at("cell")));
-            }
-          }
-          if (j.contains("gps")) {
-            for (const auto& g : j.at("gps").as_array()) {
-              rep.gps.times.push_back(g.at("t").as_int());
-              rep.gps.points.push_back(latlng_from_json(g));
-            }
-          }
-          snapshot.routes.push_back(std::move(route));
-        }
+        read_jsonl(section, [&](const Json& j) {
+          snapshot.routes.push_back(
+              {route_from_json(j),
+               static_cast<std::size_t>(j.get_int("use_count", 1))});
+        });
       } else if (name == "encounters") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          EncounterEvent event;
-          event.contact =
-              static_cast<world::DeviceId>(j.get_int("contact", 0));
-          event.place = static_cast<PlaceUid>(j.get_int("place", 0));
-          event.window =
-              TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
-          snapshot.encounter_log.push_back(event);
-        }
+        read_jsonl(section, [&](const Json& j) {
+          const EncounterEntry e = encounter_from_json(j);
+          snapshot.encounter_log.push_back(
+              {e.contact, e.place, TimeWindow{e.start, e.end}});
+        });
       } else if (name == "activity") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          ActivitySummary summary;
-          summary.still = j.get_int("still", 0);
-          summary.walking = j.get_int("walking", 0);
-          summary.vehicle = j.get_int("vehicle", 0);
-          snapshot.activity_by_day[j.get_int("day", 0)] = summary;
-        }
+        read_jsonl(section, [&](const Json& j) {
+          snapshot.activity_by_day[j.get_int("day", 0)] = activity_from_json(j);
+        });
       } else if (name == "outbox") {
         outbox_result = staged_outbox.load(section);
       } else if (name == "synced_days") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
+        read_jsonl(section, [&](const Json& j) {
           synced_days[j.get_int("day", 0)] =
-              parse_hex64(j.get_string("digest", "0"));
-        }
+              digest_from_hex(j.get_string("digest", "0"));
+        });
       } else if (name == "synced_places") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
+        read_jsonl(section, [&](const Json& j) {
           synced_places[static_cast<PlaceUid>(j.get_int("uid", 0))] =
-              parse_hex64(j.get_string("digest", "0"));
-        }
+              digest_from_hex(j.get_string("digest", "0"));
+        });
       }
       // Unknown sections skip silently (forward compatibility).
     }
@@ -1272,7 +1093,7 @@ std::size_t PmwareMobileService::discard_pending() {
 void PmwareMobileService::shutdown(SimTime now) {
   engine_.flush(now);
   housekeeping(now);
-  if (config_.cloud_sync && client_ != nullptr && user_id_) {
+  if (client_ != nullptr && user_id_) {
     // The final day may be partial (housekeeping above only covered
     // completed days); queue it plus anything still parked, and drain.
     enqueue_sync_work(day_of(now), now);

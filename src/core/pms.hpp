@@ -36,8 +36,6 @@ struct PmsConfig {
   /// Offload GCA clustering to the cloud (paper §2.3.1); falls back to the
   /// local implementation when the cloud is unreachable.
   bool offload_gca = true;
-  /// Sync profiles/places to the cloud during housekeeping.
-  bool cloud_sync = true;
   /// Device GCA result cache: remember the clustering result for the
   /// current movement digest, so a recluster over an unchanged GSM log
   /// neither re-sends the log nor re-runs GCA (results are identical either
@@ -121,8 +119,8 @@ class PmwareMobileService {
   // --- Crash-consistent lifecycle (DESIGN.md "Failure model & recovery") ---
 
   /// Serializes the complete checkpointable device state — GSM/visit logs,
-  /// place store, day-profile export, route/encounter logs, preferences, the
-  /// sync outbox, and the sync high-water marks — as sectioned JSONL led by
+  /// place store, route/encounter/activity logs, preferences, the sync
+  /// outbox, and the sync high-water marks — as sectioned JSONL led by
   /// a manifest line carrying a line count and content digest, so restore()
   /// can tell a torn checkpoint from a whole one.
   void save(std::ostream& out) const;

@@ -140,7 +140,14 @@ HttpResponse Router::handle(const HttpRequest& request) const {
     std::optional<telemetry::Span> span;
     if (ctx.valid())
       span.emplace(telemetry::tracer(), "cloud." + best->pattern, sim_now, ctx);
-    HttpResponse response = best->handler(request, best_params);
+    HttpResponse response;
+    try {
+      response = best->handler(request, best_params);
+    } catch (const JsonError& error) {
+      // A body missing a required field (or holding one of the wrong type)
+      // is the client's fault: answer 400 instead of unwinding the caller.
+      response = HttpResponse::error(kStatusBadRequest, error.what());
+    }
     response.sim_latency_s += added_latency_s;
     if (span) span->finish(sim_now);
     observe(best->pattern, response.status);

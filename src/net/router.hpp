@@ -56,7 +56,8 @@ class Router {
     fault_injector_ = std::move(injector);
   }
 
-  /// Dispatches a request; 404 when no route matches.
+  /// Dispatches a request; 404 when no route matches, 400 when the handler
+  /// throws JsonError (a body missing a required field).
   ///
   /// Matching rules:
   ///  * a single trailing slash is tolerated ("/metrics/" == "/metrics");

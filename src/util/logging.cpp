@@ -1,7 +1,6 @@
 #include "util/logging.hpp"
 
 #include <atomic>
-#include <cstdarg>
 #include <cstdio>
 
 namespace pmware {
@@ -21,14 +20,6 @@ const char* level_name(LogLevel level) {
   return "?????";
 }
 
-void vlog(LogLevel level, const char* component, const char* fmt,
-          va_list args) {
-  if (level < g_level.load()) return;
-  char msg[1024];
-  std::vsnprintf(msg, sizeof(msg), fmt, args);
-  std::fprintf(stderr, "[%s] %s: %s\n", level_name(level), component, msg);
-}
-
 }  // namespace
 
 void set_log_level(LogLevel level) { g_level.store(level); }
@@ -41,20 +32,5 @@ void log_line(LogLevel level, std::string_view component, std::string_view msg) 
                static_cast<int>(component.size()), component.data(),
                static_cast<int>(msg.size()), msg.data());
 }
-
-#define PMWARE_DEFINE_LOG(name, level)                       \
-  void name(const char* component, const char* fmt, ...) {   \
-    va_list args;                                            \
-    va_start(args, fmt);                                     \
-    vlog(level, component, fmt, args);                       \
-    va_end(args);                                            \
-  }
-
-PMWARE_DEFINE_LOG(log_debug, LogLevel::Debug)
-PMWARE_DEFINE_LOG(log_info, LogLevel::Info)
-PMWARE_DEFINE_LOG(log_warn, LogLevel::Warn)
-PMWARE_DEFINE_LOG(log_error, LogLevel::Error)
-
-#undef PMWARE_DEFINE_LOG
 
 }  // namespace pmware

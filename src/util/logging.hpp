@@ -4,10 +4,7 @@
 // to Info to narrate the middleware's behaviour.
 #pragma once
 
-#include <string>
 #include <string_view>
-
-#include "util/strfmt.hpp"
 
 namespace pmware {
 
@@ -19,22 +16,5 @@ LogLevel log_level();
 
 /// Writes one line to stderr if `level` passes the threshold.
 void log_line(LogLevel level, std::string_view component, std::string_view msg);
-
-#if defined(__GNUC__)
-#define PMWARE_PRINTF(a, b) __attribute__((format(printf, a, b)))
-#else
-#define PMWARE_PRINTF(a, b)
-#endif
-
-PMWARE_PRINTF(2, 3)
-void log_debug(const char* component, const char* fmt, ...);
-PMWARE_PRINTF(2, 3)
-void log_info(const char* component, const char* fmt, ...);
-PMWARE_PRINTF(2, 3)
-void log_warn(const char* component, const char* fmt, ...);
-PMWARE_PRINTF(2, 3)
-void log_error(const char* component, const char* fmt, ...);
-
-#undef PMWARE_PRINTF
 
 }  // namespace pmware

@@ -131,11 +131,106 @@ TEST(Codec, EmptyProfileRoundTrip) {
   EXPECT_TRUE(decoded.empty());
 }
 
+TEST(Codec, ObservationAndGcaResultRoundTrip) {
+  const algorithms::CellObservation obs{hours(2), cell(7)};
+  const auto decoded_obs =
+      observation_from_json(Json::parse(to_json(obs).dump()));
+  EXPECT_EQ(decoded_obs.t, obs.t);
+  EXPECT_EQ(decoded_obs.cell, obs.cell);
+
+  algorithms::GcaResult result;
+  result.places.push_back({CellSignature{{cell(1), cell(2)}}, hours(3)});
+  result.visits.push_back({0, TimeWindow{hours(1), hours(4)}});
+  const auto decoded =
+      gca_result_from_json(Json::parse(to_json(result).dump()));
+  ASSERT_EQ(decoded.places.size(), 1u);
+  EXPECT_EQ(decoded.places[0].signature.cells.size(), 2u);
+  EXPECT_EQ(decoded.places[0].total_dwell, hours(3));
+  ASSERT_EQ(decoded.visits.size(), 1u);
+  EXPECT_EQ(decoded.visits[0].window, (TimeWindow{hours(1), hours(4)}));
+  EXPECT_EQ(decoded.cell_to_place.at(cell(2)), 0u);
+}
+
+TEST(Codec, RouteAndRouteEventRoundTrip) {
+  algorithms::RouteObservation route;
+  route.from_place = 3;
+  route.to_place = 4;
+  route.window = TimeWindow{hours(8), hours(9)};
+  route.cells = {{hours(8), hours(8) + 60}, {cell(1), cell(2)}};
+  route.gps = {{hours(8)}, {{28.6, 77.2}}};
+  const auto decoded = route_from_json(Json::parse(to_json(route).dump()));
+  EXPECT_EQ(decoded.from_place, 3u);
+  EXPECT_EQ(decoded.to_place, 4u);
+  EXPECT_EQ(decoded.window, route.window);
+  EXPECT_EQ(decoded.cells.times, route.cells.times);
+  EXPECT_EQ(decoded.cells.cells, route.cells.cells);
+  ASSERT_EQ(decoded.gps.points.size(), 1u);
+  EXPECT_EQ(decoded.gps.times[0], hours(8));
+  // A journey without samples omits both arrays.
+  EXPECT_FALSE(to_json(algorithms::RouteObservation{}).contains("cells"));
+
+  const RouteEvent event{5, 3, 4, TimeWindow{hours(8), hours(9)}, true};
+  const RouteEvent back =
+      route_event_from_json(Json::parse(to_json(event).dump()));
+  EXPECT_EQ(back.route_uid, 5u);
+  EXPECT_EQ(back.to, 4u);
+  EXPECT_EQ(back.window, event.window);
+  EXPECT_TRUE(back.high_accuracy);
+}
+
+TEST(Codec, EncounterFieldsAreRequired) {
+  const EncounterEntry entry{7, 10, hours(9), hours(10)};
+  const EncounterEntry back = encounter_from_json(to_json(entry));
+  EXPECT_EQ(back.contact, 7u);
+  EXPECT_EQ(back.end, hours(10));
+  const Json missing = Json::parse(R"({"contact":7,"start":0,"end":1})");
+  EXPECT_THROW(encounter_from_json(missing), JsonError);
+}
+
+TEST(Codec, ActivityDigestHexAndMovementDigestChain) {
+  const ActivitySummary activity{hours(20), hours(1), hours(2)};
+  EXPECT_EQ(activity_from_json(to_json(activity)), activity);
+  EXPECT_EQ(activity_from_json(Json::object()), ActivitySummary{});
+
+  EXPECT_EQ(digest_to_hex(0xcbf29ce484222325ull), "cbf29ce484222325");
+  EXPECT_EQ(digest_to_hex(1), "0000000000000001");
+  EXPECT_EQ(digest_from_hex(digest_to_hex(~0ull)), ~0ull);
+
+  // Extending a prefix digest equals digesting the whole stream.
+  const std::vector<algorithms::CellObservation> log = {
+      {0, cell(1)}, {60, cell(2)}, {120, cell(3)}};
+  const std::span<const algorithms::CellObservation> all(log);
+  EXPECT_EQ(movement_digest(all.subspan(1), movement_digest(all.first(1))),
+            movement_digest(all));
+}
+
 TEST(Codec, GranularityNames) {
   EXPECT_STREQ(to_string(Granularity::Area), "area");
   EXPECT_STREQ(to_string(Granularity::Building), "building");
   EXPECT_STREQ(to_string(Granularity::Room), "room");
 }
+
+}  // namespace
+}  // namespace pmware::core
+
+namespace pmware::algorithms {
+
+// Names the sweep's cases by size (gtest's variant printer supplies the
+// kind); its default would dump the bytes, pointers and padding included.
+void PrintTo(const CellSignature& sig, std::ostream* os) {
+  *os << "cells n=" << sig.cells.size();
+}
+void PrintTo(const WifiSignature& sig, std::ostream* os) {
+  *os << "aps n=" << sig.aps.size();
+}
+void PrintTo(const GpsSignature& sig, std::ostream* os) {
+  *os << "radius=" << sig.radius_m << "m";
+}
+
+}  // namespace pmware::algorithms
+
+namespace pmware::core {
+namespace {
 
 class SignatureKindSweep
     : public ::testing::TestWithParam<algorithms::PlaceSignature> {};

@@ -10,6 +10,7 @@
 #include "core/pms.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/strfmt.hpp"
 
 namespace pmware {
@@ -263,6 +264,60 @@ TEST(Robustness, DeeplyNestedCheckpointSectionFallsBackToColdRestart) {
   const auto reboot = boot(27);
   EXPECT_FALSE(reboot->restore(deep));
   EXPECT_TRUE(reboot->cold_restart(days(1)));
+}
+
+// Wire bodies are untrusted input too: a body missing a required field
+// must come back as a 400 through the router's observer, never as an
+// exception thrown into the caller.
+TEST(Robustness, MalformedWireBodiesAreBadRequests) {
+  cloud::CloudInstance cloud(cloud::CloudConfig{},
+                             cloud::GeoLocationService({}), Rng(1));
+  net::HttpRequest reg;
+  reg.method = net::Method::Post;
+  reg.path = "/api/register";
+  reg.body = Json::object();
+  reg.body.set("imei", "111");
+  reg.body.set("email", "a@b.c");
+  const net::HttpResponse registered = cloud.router().handle(reg);
+  ASSERT_EQ(registered.status, net::kStatusCreated);
+  const auto user = registered.body.at("user").as_int();
+  const std::string token = registered.body.at("token").as_string();
+
+  const auto post = [&](const std::string& path, const std::string& body) {
+    net::HttpRequest req;
+    req.method = net::Method::Post;
+    req.path = path;
+    req.headers["Authorization"] = "Bearer " + token;
+    req.body = Json::parse(body);
+    return cloud.router().handle(req);
+  };
+  const auto bad_requests = [](const char* route) {
+    return telemetry::registry().counter_value(
+        "cloud_requests_total",
+        {{"method", "POST"}, {"route", route}, {"status", "400"}});
+  };
+  const std::string routes = strfmt("/api/users/%lld/routes",
+                                    static_cast<long long>(user));
+  const std::string contacts = strfmt("/api/users/%lld/contacts",
+                                      static_cast<long long>(user));
+  const auto before_discover = bad_requests("/api/places/discover");
+  const auto before_routes = bad_requests("/api/users/:id/routes");
+  const auto before_contacts = bad_requests("/api/users/:id/contacts");
+
+  net::HttpResponse response;
+  ASSERT_NO_THROW(response = post("/api/places/discover", "{}"));
+  EXPECT_EQ(response.status, net::kStatusBadRequest);
+  ASSERT_NO_THROW(
+      response = post(routes, R"({"cells":[{"t":0,"cell":)"
+                              R"({"mnc":10,"lac":1,"cid":9,"radio":"2g"}}]})"));
+  EXPECT_EQ(response.status, net::kStatusBadRequest);
+  ASSERT_NO_THROW(response = post(contacts, R"({"first_index":0})"));
+  EXPECT_EQ(response.status, net::kStatusBadRequest);
+  EXPECT_TRUE(response.body.contains("error"));
+
+  EXPECT_EQ(bad_requests("/api/places/discover"), before_discover + 1);
+  EXPECT_EQ(bad_requests("/api/users/:id/routes"), before_routes + 1);
+  EXPECT_EQ(bad_requests("/api/users/:id/contacts"), before_contacts + 1);
 }
 
 }  // namespace

@@ -83,6 +83,11 @@ struct OverlapCase {
   SimDuration overlap_len;
 };
 
+void PrintTo(const OverlapCase& c, std::ostream* os) {
+  *os << "a=" << c.a.begin << "-" << c.a.end << " b=" << c.b.begin << "-"
+      << c.b.end << " overlap=" << c.overlap_len << "s";
+}
+
 class TimeWindowOverlap : public ::testing::TestWithParam<OverlapCase> {};
 
 TEST_P(TimeWindowOverlap, OverlapSymmetry) {
