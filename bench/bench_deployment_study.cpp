@@ -407,13 +407,13 @@ int main(int argc, char** argv) {
   // study legitimately diverges from the no-fault digest (devices are dark
   // while rebooting), so the headline assertion here is DETERMINISM: the
   // digest must be byte-identical at every shards x threads x cache x
-  // runner combination, and no surviving participant's records may be lost
+  // wave combination, and no surviving participant's records may be lost
   // (outbox balance closes with zero evicted and zero pending).
   struct ChaosEntry {
     int shards = 0;
     int threads = 0;
     bool cache = false;
-    const char* runner = "";
+    int wave = 0;  ///< StudyConfig::wave_size (0 = auto)
     double wall_s = 0;
     std::uint64_t digest = 0;
     std::uint64_t restarts = 0;
@@ -432,14 +432,12 @@ int main(int argc, char** argv) {
     const struct {
       int shards, threads;
       bool cache;
-      study::RunnerMode runner;
-      const char* runner_name;
+      int wave;
     } kCombos[] = {
-        {1, 1, true, study::RunnerMode::Materialized, "materialized"},
-        {16, 8, true, study::RunnerMode::Materialized, "materialized"},
-        {1, 1, true, study::RunnerMode::Streaming, "streaming"},
-        {16, 8, true, study::RunnerMode::Streaming, "streaming"},
-        {16, 8, false, study::RunnerMode::Materialized, "materialized"},
+        {1, 1, true, 0},
+        {16, 8, true, 0},
+        {16, 8, true, 1},
+        {16, 8, false, 0},
     };
     for (const auto& combo : kCombos) {
       telemetry::registry().reset();
@@ -448,7 +446,7 @@ int main(int argc, char** argv) {
       chaotic.shards = combo.shards;
       chaotic.threads = combo.threads;
       chaotic.cache = combo.cache;
-      chaotic.runner = combo.runner;
+      chaotic.wave_size = combo.wave;
       chaotic.fault_plan = net::FaultPlan::parse(chaos_spec);
       const auto begin = std::chrono::steady_clock::now();
       const study::StudyResult run = study::DeploymentStudy(chaotic).run();
@@ -456,7 +454,7 @@ int main(int argc, char** argv) {
       entry.shards = combo.shards;
       entry.threads = combo.threads;
       entry.cache = combo.cache;
-      entry.runner = combo.runner_name;
+      entry.wave = combo.wave;
       entry.wall_s = wall_seconds_since(begin);
       entry.digest = run.storage_digest;
       const auto& reg = telemetry::registry();
@@ -661,13 +659,14 @@ int main(int argc, char** argv) {
               "zero records lost: %s ---\n",
               chaos_spec.c_str(), chaos_identical ? "yes" : "NO",
               chaos_zero_lost ? "yes" : "NO");
-  std::printf("%7s %8s %6s %-13s %8s %9s %6s %7s %8s %8s %20s\n", "shards",
-              "threads", "cache", "runner", "wall s", "restarts", "wipes",
+  std::printf("%7s %8s %6s %5s %8s %9s %6s %7s %8s %8s %20s\n", "shards",
+              "threads", "cache", "wave", "wall s", "restarts", "wipes",
               "rejects", "dropped", "pending", "digest");
   for (const auto& entry : chaos_sweep)
-    std::printf("%7d %8d %6s %-13s %8.2f %9llu %6llu %7llu %8llu %8llu %20llu\n",
+    std::printf("%7d %8d %6s %5s %8.2f %9llu %6llu %7llu %8llu %8llu %20llu\n",
                 entry.shards, entry.threads, entry.cache ? "on" : "off",
-                entry.runner, entry.wall_s,
+                entry.wave > 0 ? std::to_string(entry.wave).c_str() : "auto",
+                entry.wall_s,
                 static_cast<unsigned long long>(entry.restarts),
                 static_cast<unsigned long long>(entry.wipes),
                 static_cast<unsigned long long>(entry.tombstone_rejections),
@@ -798,7 +797,7 @@ int main(int argc, char** argv) {
                 state.incremental_passes(), state.passes());
   }
 
-  // --- Population sweep: the streaming runner's scale battery. Each row
+  // --- Population sweep: the study runner's scale battery. Each row
   // runs a study at the next population decade in aggregate mode and
   // records wall time, participant-day throughput, the process RSS
   // high-water mark, cloud request rate, and per-shard request heat. The
@@ -823,13 +822,12 @@ int main(int argc, char** argv) {
     } kLadder[] = {{16, 14}, {1000, 2}, {10000, 1}, {100000, 1}};
     study::StudyConfig pop_config;
     pop_config.cache = cache_for_sweeps;
-    pop_config.runner = study::RunnerMode::Streaming;
     pop_config.threads = fixed_threads > 0 ? fixed_threads : 2;
     pop_config.shards = fixed_shards > 0
                             ? fixed_shards
                             : static_cast<int>(
                                   cloud::CloudStorage::kDefaultShards);
-    std::printf("\n--- population sweep (streaming runner, %d threads, %d "
+    std::printf("\n--- population sweep (%d threads, %d "
                 "shards) ---\n",
                 pop_config.threads, pop_config.shards);
     for (const auto& rung : kLadder) {
@@ -968,7 +966,7 @@ int main(int argc, char** argv) {
         e.set("shards", entry.shards);
         e.set("threads", entry.threads);
         e.set("cache", entry.cache);
-        e.set("runner", std::string(entry.runner));
+        e.set("wave", entry.wave);
         e.set("wall_s", entry.wall_s);
         e.set("storage_digest", entry.digest);
         e.set("restarts", entry.restarts);
@@ -1079,7 +1077,7 @@ int main(int argc, char** argv) {
       throughput.set("cpu_seconds", proc.cpu_seconds);
       extra.set("throughput", std::move(throughput));
     }
-    // schema_version 8: the "population_sweep" block — the streaming
+    // schema_version 8: the "population_sweep" block — the study
     // runner's scale ladder (throughput, memory high-water, cloud request
     // rate, per-shard heat at each population decade).
     {
@@ -1102,7 +1100,6 @@ int main(int argc, char** argv) {
         pop_runs.push_back(std::move(e));
       }
       pop_block.set("runs", std::move(pop_runs));
-      pop_block.set("runner", std::string("streaming"));
       extra.set("population_sweep", std::move(pop_block));
     }
     // Telemetry in the dump is from the last section to reset the

@@ -9,11 +9,12 @@
 # (striped counters / sharded histograms / metric handles), and the
 # Alerting battery (recorder + alert engine), and a chaos leg that re-runs
 # the Robustness-labeled fault/outbox/breaker tests under asan together
-# with Caching, Alerting, and the Population streaming-runner battery.
-# The golden-digest gate runs both study runners (materialized and
-# streaming) against tests/golden/study_digest.txt, then again under the
-# pinned device-chaos plan (crash/restart injection, privacy wipes, late
-# joins) against tests/golden/study_digest_crash.txt. After them, the
+# with Caching, Alerting, and the Population study-runner battery.
+# The golden-digest gate runs the study at two wave shapes (the default
+# wave, which holds all 4 participants, and --wave 1, a barrier after
+# every participant) against tests/golden/study_digest.txt, then again
+# under the pinned device-chaos plan (crash/restart injection, privacy
+# wipes, late joins) against tests/golden/study_digest_crash.txt. After them, the
 # benchmark's own self-test guards that perfbench/ still builds and runs.
 # Usage: ./ci.sh [extra cmake args...]
 set -euo pipefail
@@ -43,39 +44,42 @@ run_suite build "" "$@"
 # also proves telemetry never perturbs the study.
 echo "=== golden study digest (telemetry fully enabled) ==="
 golden_digest="$(cat tests/golden/study_digest.txt)"
-# Both runners must reproduce the committed digest: materialized is the
-# historical reference, streaming is the bounded-memory production path.
-for runner in materialized streaming; do
+# Both wave shapes must reproduce the committed digest: the default wave
+# admits all 4 participants at once, --wave 1 retires each participant
+# before admitting the next. An empty wave_args means the default wave.
+for wave_args in "" "--wave 1"; do
+  wave_name="${wave_args:-default wave}"
   actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
-      --threads 2 --shards 4 --runner "${runner}" --progress 2>/dev/null |
+      --threads 2 --shards 4 ${wave_args} --progress 2>/dev/null |
     sed -n 's/^cloud content digest: //p')"
   if [[ "${actual_digest}" != "${golden_digest}" ]]; then
-    echo "golden digest mismatch (${runner} runner): got" \
+    echo "golden digest mismatch (${wave_name}): got" \
          "'${actual_digest}', expected '${golden_digest}'" >&2
     exit 1
   fi
-  echo "study digest ${actual_digest} matches golden (${runner} runner)"
+  echo "study digest ${actual_digest} matches golden (${wave_name})"
 done
 
 # Crashed-study golden gate: the same study under a pinned device-lifecycle
 # chaos plan (mid-day crashes with checkpoint/restore recovery, end-of-day
-# privacy wipes, late joins) must also stay byte-identical across runners
-# and shapes — crash/restart scheduling rides the same deterministic RNG
+# privacy wipes, late joins) must also stay byte-identical across wave
+# shapes — crash/restart scheduling rides the same deterministic RNG
 # contract as the healthy path.
 echo "=== golden study digest (device chaos plan) ==="
 crash_plan="crash=0d..2d,crash_rate=0.5,restart_delay=2h;wipe=1d..2d,wipe_rate=0.5;join=0d..2d,join_rate=0.5"
 crash_golden="$(cat tests/golden/study_digest_crash.txt)"
-for runner in materialized streaming; do
+for wave_args in "" "--wave 1"; do
+  wave_name="${wave_args:-default wave}"
   actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
-      --threads 2 --shards 4 --runner "${runner}" \
+      --threads 2 --shards 4 ${wave_args} \
       --fault-plan "${crash_plan}" 2>/dev/null |
     sed -n 's/^cloud content digest: //p')"
   if [[ "${actual_digest}" != "${crash_golden}" ]]; then
-    echo "crashed-study digest mismatch (${runner} runner): got" \
+    echo "crashed-study digest mismatch (${wave_name}): got" \
          "'${actual_digest}', expected '${crash_golden}'" >&2
     exit 1
   fi
-  echo "crashed-study digest ${actual_digest} matches golden (${runner} runner)"
+  echo "crashed-study digest ${actual_digest} matches golden (${wave_name})"
 done
 
 # Benchmark build guard: perfbench/ compiles ../src with its own CMake
@@ -103,10 +107,10 @@ run_suite build-asan "" -DPMWARE_SANITIZE="address;undefined" "$@"
 # races the batched dispatch loop and the device env cache under tsan.
 # Concurrency races the striped-counter / sharded-histogram / handle hot
 # paths; Alerting races the recorder + engine through the parallel study's
-# determinism guard. Population races the streaming wave scheduler's
-# workers against the shared fold state and slot arenas. Lifecycle races
-# the crashed-study determinism battery (checkpoint/restore and churn
-# across shards x threads x runners).
+# determinism guard. Population races the wave scheduler's workers against
+# the shared fold state and slot arenas. Lifecycle races the crashed-study
+# determinism battery (checkpoint/restore and churn across shards x
+# threads x wave).
 run_suite build-tsan "-L Sharding|Caching|SchedulerPerf|Concurrency|Alerting|Population|Lifecycle" -DPMWARE_SANITIZE="thread" "$@"
 # Chaos leg: the fault-injection / outbox / circuit-breaker battery again
 # under asan+ubsan, isolated so failures point straight at the recovery

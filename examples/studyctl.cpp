@@ -4,11 +4,15 @@
 // an SVG place map, so parameter sweeps can be scripted without recompiling:
 //
 //   studyctl [--participants N] [--days D] [--seed S] [--threads T]
-//            [--shards N] [--region india|switzerland] [--no-wifi] [--no-ads]
+//            [--shards N] [--wave N] [--region india|switzerland]
+//            [--no-wifi] [--no-ads]
 //            [--cache on|off] [--fault-plan SPEC]
 //            [--progress] [--no-timeseries] [--no-alerts]
 //            [--log-level debug|info|warn|error|off]
 //            [--report FILE.json] [--map FILE.svg]
+//
+// --participants, --days, --threads, --shards and --wave take whole
+// positive integers; anything else prints the usage and exits 2.
 //
 // --progress prints a live line to stderr while the study runs:
 // participant-days done, throughput, ETA, and how many alert rules are
@@ -36,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -56,8 +61,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--participants N] [--days D] [--seed S]\n"
-               "          [--threads T] [--shards N]\n"
-               "          [--runner auto|materialized|streaming] [--wave N]\n"
+               "          [--threads T] [--shards N] [--wave N]\n"
                "          [--region india|switzerland]\n"
                "          [--no-wifi] [--no-ads] [--cache on|off]\n"
                "          [--fault-plan SPEC]  (e.g. \"outage=5d..8d\")\n"
@@ -82,6 +86,16 @@ bool parse_u64(const char* text, std::uint64_t& out) {
   return true;
 }
 
+/// Parses a whole decimal integer in [1, INT_MAX]; false otherwise.
+bool parse_positive_int(const char* text, int& out) {
+  std::uint64_t value = 0;
+  if (!parse_u64(text, value) || value < 1 ||
+      value > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -98,23 +112,20 @@ int main(int argc, char** argv) {
     };
     if (arg == "--participants") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.participants = std::atoi(v);
+      if (!v || !parse_positive_int(v, config.participants))
+        return usage(argv[0]);
     } else if (arg == "--days") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.days = std::atoi(v);
+      if (!v || !parse_positive_int(v, config.days)) return usage(argv[0]);
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v || !parse_u64(v, config.seed)) return usage(argv[0]);
     } else if (arg == "--threads") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.threads = std::atoi(v);
+      if (!v || !parse_positive_int(v, config.threads)) return usage(argv[0]);
     } else if (arg == "--shards") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.shards = std::atoi(v);
+      if (!v || !parse_positive_int(v, config.shards)) return usage(argv[0]);
     } else if (arg == "--region") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -155,21 +166,9 @@ int main(int argc, char** argv) {
         config.cache = false;
       else
         return usage(argv[0]);
-    } else if (arg == "--runner") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      if (std::strcmp(v, "auto") == 0)
-        config.runner = study::RunnerMode::Auto;
-      else if (std::strcmp(v, "materialized") == 0)
-        config.runner = study::RunnerMode::Materialized;
-      else if (std::strcmp(v, "streaming") == 0)
-        config.runner = study::RunnerMode::Streaming;
-      else
-        return usage(argv[0]);
     } else if (arg == "--wave") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.wave_size = std::atoi(v);
+      if (!v || !parse_positive_int(v, config.wave_size)) return usage(argv[0]);
     } else if (arg == "--no-wifi") {
       config.use_wifi = false;
     } else if (arg == "--no-ads") {
@@ -198,10 +197,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (config.participants < 1 || config.days < 1 || config.threads < 1 ||
-      config.shards < 1)
-    return usage(argv[0]);
-
   std::printf("running study: %d participants x %d days, region %s, "
               "wifi %s, cache %s, seed %llu, faults: %s\n",
               config.participants, config.days,
@@ -267,7 +262,7 @@ int main(int argc, char** argv) {
       pending += p.pms_stats.outbox_pending;
     }
   } else {
-    // Aggregate-only streaming run: per-participant results were folded
+    // Aggregate-only run: per-participant results were folded
     // away, so read the study-wide registry families instead.
     sync_failures = reg.family_total("pms_sync_failures_total");
     enqueued = reg.family_total("pms_outbox_enqueued_total");

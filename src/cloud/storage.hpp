@@ -171,9 +171,10 @@ class CloudStorage {
   /// (including GCA bookkeeping) is erased. Because per-user digests
   /// combine by commutative addition, content_digest() and stats() report
   /// the same values whether or not users were archived mid-run — this is
-  /// what lets the streaming study runner hold only its active wave in
-  /// memory while keeping the determinism fingerprint byte-identical to the
-  /// materialize-everything runner. Returns false if the user had no data.
+  /// what lets the study runner hold only its active wave in memory while
+  /// keeping the determinism fingerprint byte-identical to a store that
+  /// never archived. Returns false, changing nothing, if `id` has no live
+  /// entry (unknown or already archived).
   bool archive_user(world::DeviceId id);
 
   /// Users retired via archive_user (still counted in stats().users).

@@ -24,24 +24,6 @@
 
 namespace pmware::study {
 
-/// Which study runner executes the participants.
-///
-///  * Materialized — the historical runner: every participant profile, RNG
-///    and result is built up front and kept for the whole run. O(N) memory;
-///    the reference implementation the streaming runner is differentially
-///    tested against.
-///  * Streaming — wave-scheduled: participants are constructed on first
-///    touch, run their sim-days, sync, and retire (their cloud record is
-///    folded into the archived accumulators) before the next wave is
-///    admitted. Peak memory is O(threads + wave), not O(N) — this is what
-///    makes a 100k-participant study fit in bounded memory. The cloud
-///    content digest is byte-identical to Materialized at any
-///    threads x shards x cache x fault-plan combination.
-///  * Auto — Streaming, keeping per-participant results and the place map
-///    while the population is small enough to afford them (N <= 256) and
-///    switching to slot-scoped aggregate-only collection above.
-enum class RunnerMode : std::uint8_t { Auto, Materialized, Streaming };
-
 struct StudyConfig {
   int participants = 16;
   int days = 14;
@@ -99,14 +81,10 @@ struct StudyConfig {
   /// Evaluate the default SLO alert rules at every timeseries sample
   /// (--no-alerts in studyctl). Same determinism guarantee as above.
   bool alerts = true;
-  /// Runner selection (--runner in studyctl). Results — science numbers and
-  /// the cloud content digest — are byte-identical across runners; the
-  /// choice only trades memory for per-participant detail.
-  RunnerMode runner = RunnerMode::Auto;
-  /// Streaming wave size (--wave in studyctl): participants admitted per
-  /// scheduling epoch. 0 = auto (4 per worker thread, min 16). Any value
-  /// yields identical results; it only bounds how many participant
-  /// profiles are materialized at once.
+  /// Wave size (--wave in studyctl): participants admitted per scheduling
+  /// epoch. 0 = auto (4 per worker thread, min 16). Any value yields
+  /// identical results; it only bounds how many participant profiles are
+  /// materialized at once.
   int wave_size = 0;
 };
 
@@ -131,9 +109,9 @@ struct ParticipantResult {
   core::PmsStats pms_stats;
 };
 
-/// Commutatively folded aggregate of ParticipantResults — what the
-/// streaming runner keeps instead of the per-participant vector. One
-/// instance serves as the whole-study total and one per archetype cohort.
+/// Aggregate of ParticipantResults, folded in participant-id order — what
+/// the study keeps instead of the per-participant vector. One instance
+/// serves as the whole-study total and one per archetype cohort.
 struct CohortStats {
   std::uint64_t participants = 0;
   std::uint64_t places_discovered = 0;
@@ -154,18 +132,18 @@ struct CohortStats {
 };
 
 struct StudyResult {
-  /// Per-participant detail. Populated by the materialized runner and by
-  /// streaming runs small enough to afford it; EMPTY in aggregate-only
-  /// streaming runs (the totals below carry the study numbers there).
+  /// Per-participant detail. Populated by studies small enough to afford
+  /// it (DeploymentStudy::kDetailThreshold); EMPTY in aggregate-only runs
+  /// (the totals below carry the study numbers there).
   std::vector<ParticipantResult> participants;
   std::vector<PlaceMapEntry> place_map;
-  /// Folded aggregates — filled by every runner, so total_*()/summary()
-  /// read identically whether or not per-participant detail was kept.
+  /// Folded aggregates — always filled, so total_*()/summary() read
+  /// identically whether or not per-participant detail was kept.
   CohortStats totals;
   std::map<mobility::Archetype, CohortStats> cohorts;
   /// Post-join snapshot of the cloud storage: aggregate record counts and
   /// the order-independent content digest — the determinism fingerprint
-  /// that must match across thread and shard counts (and runners).
+  /// that must match across thread, shard and wave shapes.
   cloud::CloudStorage::Stats storage_stats;
   std::uint64_t storage_digest = 0;
 
@@ -183,14 +161,20 @@ struct StudyResult {
 
 class DeploymentStudy {
  public:
-  /// Auto-runner boundary: streaming studies at or below this population
-  /// keep per-participant results and the place map; larger ones collect
+  /// Detail boundary: studies at or below this population keep
+  /// per-participant results and the place map; larger ones collect
   /// aggregates only (CohortStats + storage fingerprint).
   static constexpr int kDetailThreshold = 256;
 
   explicit DeploymentStudy(StudyConfig config);
 
-  /// Runs the full study (deterministic for a given config).
+  /// Runs the full study (deterministic for a given config). Participants
+  /// stream through in waves of `wave_size`: a wave's profiles and RNG
+  /// forks are admitted in ascending id order, run on `threads` workers,
+  /// and retired — each participant's cloud record is folded into the
+  /// archived accumulators — before the next wave is admitted. Peak memory
+  /// is O(threads + wave), not O(N), and results are identical for every
+  /// threads x shards x wave shape.
   StudyResult run();
 
   const world::World& world() const { return *world_; }
@@ -206,23 +190,14 @@ class DeploymentStudy {
   }
 
  private:
-  /// Simulates one participant end to end. `place_map` may be null
-  /// (aggregate-only collection skips the Figure-5b inventory), `arena`
-  /// may be null (heap-backed engine logs), and `retire` folds the
-  /// participant's cloud record into the archived accumulators after the
-  /// final sync — the streaming runner's memory-release step.
+  /// Simulates one participant end to end, then retires it: after the
+  /// final sync its cloud record is folded into the archived accumulators.
+  /// `place_map` may be null (aggregate-only collection skips the
+  /// Figure-5b inventory) and `arena` may be null (heap-backed engine logs).
   ParticipantResult run_participant(const mobility::Participant& participant,
                                     cloud::CloudInstance& cloud, Rng& rng,
                                     std::vector<PlaceMapEntry>* place_map,
-                                    util::Arena* arena, bool retire);
-  /// The historical materialize-everything runner (the differential-oracle
-  /// reference for the streaming runner).
-  StudyResult run_materialized();
-  /// Wave-scheduled bounded-memory runner; `detail` keeps per-participant
-  /// results and the place map.
-  StudyResult run_streaming(bool detail);
-  /// Shared prologue: telemetry recorder/alert setup.
-  void configure_telemetry();
+                                    util::Arena* arena);
   /// Called by workers after each completed participant-day: bumps the
   /// progress counter, advances fleet sim-time, and lets the recorder /
   /// alert engine sample at most once per crossed interval.

@@ -76,8 +76,11 @@ std::string diagnostics_summary(const Tracer& tracer,
 /// digests per shards x threads x cache x runner shape, wipe-tombstone
 /// counters, and checkpoint-size / restore-latency distributions), 10 =
 /// "cache_sweep" keeps only the device GCA cache (the cloud, analytics and
-/// conditional-transfer rows and microbenchmarks are gone).
-inline constexpr int kBenchSchemaVersion = 10;
+/// conditional-transfer rows and microbenchmarks are gone), 11 = the
+/// study has one runner: "chaos_sweep" runs record "wave" (wave size,
+/// 0 = auto) in place of "runner", and "population_sweep" drops its
+/// "runner" field.
+inline constexpr int kBenchSchemaVersion = 11;
 
 /// Reproducibility metadata embedded in every BENCH_*.json, so the perf
 /// trajectory stays comparable across PRs. Zero fields mean "not

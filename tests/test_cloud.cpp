@@ -639,6 +639,40 @@ TEST(ShardedStorage, DigestAndStatsInvariantUnderShardCount) {
   EXPECT_NE(one.content_digest(), 0u);
 }
 
+// Retiring users one by one (the study's per-participant archive step)
+// never changes what the store reports: the digest and stats of an
+// archived copy equal the live copy's after every step, in any order.
+TEST(ShardedStorage, ArchiveUserKeepsDigestAndStats) {
+  const world::DeviceId users = 30;
+  CloudStorage live(4), archived(4);
+  seed_storage(live, users);
+  seed_storage(archived, users);
+  const std::uint64_t digest = live.content_digest();
+  const CloudStorage::Stats stats = live.stats();
+  ASSERT_NE(digest, 0u);
+
+  // 7 is coprime with 30, so k * 7 % 30 visits every id, not ascending.
+  for (world::DeviceId k = 0; k < users; ++k) {
+    const world::DeviceId id = k * 7 % users + 1;
+    SCOPED_TRACE("archived user " + std::to_string(id));
+    EXPECT_TRUE(archived.archive_user(id));
+    EXPECT_EQ(archived.find_user(id), nullptr);
+    EXPECT_EQ(archived.archived_users(), k + 1);
+    EXPECT_EQ(archived.content_digest(), digest);
+    EXPECT_EQ(archived.stats(), stats);
+  }
+  EXPECT_EQ(archived.user_count(), 0u);
+
+  // An unknown id and an already-archived id are refused without effect.
+  for (const world::DeviceId id : {users + 1, world::DeviceId{1}}) {
+    SCOPED_TRACE("refused user " + std::to_string(id));
+    EXPECT_FALSE(archived.archive_user(id));
+    EXPECT_EQ(archived.archived_users(), users);
+    EXPECT_EQ(archived.content_digest(), digest);
+    EXPECT_EQ(archived.stats(), stats);
+  }
+}
+
 TEST(ShardedStorage, CopyAssignRedistributesAcrossLayouts) {
   CloudStorage source(1);
   seed_storage(source, 20);

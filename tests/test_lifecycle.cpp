@@ -324,11 +324,11 @@ TEST(Lifecycle, DiscardPendingCountsDroppedEntries) {
 
 // --- Crashed-study determinism: the chaos headline. A study with crash
 // injection, privacy wipes, and late joins must produce a byte-identical
-// cloud digest at every shards x threads x runner shape, and the outbox
+// cloud digest at every shards x threads x wave shape, and the outbox
 // balance must close with nothing lost for survivors.
 
-study::StudyResult run_chaos_study(int shards, int threads,
-                                   study::RunnerMode runner) {
+/// `wave` 0 is the default wave size.
+study::StudyResult run_chaos_study(int shards, int threads, int wave) {
   telemetry::registry().reset();
   telemetry::tracer().reset();
   study::StudyConfig config;
@@ -336,7 +336,7 @@ study::StudyResult run_chaos_study(int shards, int threads,
   config.days = 3;
   config.shards = shards;
   config.threads = threads;
-  config.runner = runner;
+  config.wave_size = wave;
   config.fault_plan = net::FaultPlan::parse(
       "crash=0d..2d,crash_rate=0.5,restart_delay=2h;"
       "wipe=1d..2d,wipe_rate=0.5;join=0d..2d,join_rate=0.5");
@@ -344,8 +344,8 @@ study::StudyResult run_chaos_study(int shards, int threads,
 }
 
 TEST(Lifecycle, CrashedStudyIsDeterministicAcrossShapes) {
-  const study::StudyResult baseline =
-      run_chaos_study(1, 1, study::RunnerMode::Materialized);
+  // Baseline: one wave holding all 4 participants, run on one thread.
+  const study::StudyResult baseline = run_chaos_study(1, 1, 4);
   // The chaos plan actually fired (otherwise this test asserts nothing).
   EXPECT_GT(telemetry::registry().family_total("pms_restarts_total"), 0u);
   EXPECT_GT(telemetry::registry().family_total("cloud_wipe_tombstones_total"),
@@ -354,25 +354,24 @@ TEST(Lifecycle, CrashedStudyIsDeterministicAcrossShapes) {
   ASSERT_NE(digest, 0u);
 
   const struct {
-    int shards, threads;
-    study::RunnerMode runner;
+    int shards, threads, wave;
     const char* what;
   } kShapes[] = {
-      {4, 2, study::RunnerMode::Materialized, "4 shards, 2 threads, mat"},
-      {1, 1, study::RunnerMode::Streaming, "1 shard, 1 thread, streaming"},
-      {4, 2, study::RunnerMode::Streaming, "4 shards, 2 threads, streaming"},
+      {1, 1, 1, "1 shard, 1 thread, wave 1"},
+      {4, 2, 1, "4 shards, 2 threads, wave 1"},
+      {4, 2, 0, "4 shards, 2 threads, default wave"},
   };
   for (const auto& shape : kShapes) {
     SCOPED_TRACE(shape.what);
     const study::StudyResult run =
-        run_chaos_study(shape.shards, shape.threads, shape.runner);
+        run_chaos_study(shape.shards, shape.threads, shape.wave);
     EXPECT_EQ(run.storage_digest, digest);
     EXPECT_EQ(run.storage_stats, baseline.storage_stats);
   }
 }
 
 TEST(Lifecycle, CrashedStudyLosesNoSurvivorRecords) {
-  run_chaos_study(4, 2, study::RunnerMode::Materialized);
+  run_chaos_study(4, 2, 0);
   const auto& reg = telemetry::registry();
   const std::uint64_t enqueued = reg.family_total("pms_outbox_enqueued_total");
   const std::uint64_t delivered =

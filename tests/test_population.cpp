@@ -1,5 +1,5 @@
-// Population-scale streaming runner tests: the differential oracle against
-// the materialized runner, wave-boundary edge cases, retirement /
+// Population-scale study runner tests: the differential oracle against a
+// one-wave, one-thread run, wave-boundary edge cases, retirement /
 // rehydration round-trips, the bounded-memory guarantee, the
 // instance-label O(N) regression guard, and the arena allocator itself.
 //
@@ -35,17 +35,25 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-StudyConfig small_config(RunnerMode runner) {
+StudyConfig small_config() {
   StudyConfig config;
   config.participants = 4;
   config.days = 3;
   config.threads = 2;
   config.shards = 4;
-  config.runner = runner;
   return config;
 }
 
-/// Byte-identical comparison of a streaming run against the materialized
+/// The oracle shape of `config`: one wave holding every participant, run on
+/// one thread — every profile and RNG fork is admitted up front, in id
+/// order, and participants run strictly one after another.
+StudyConfig one_wave_one_thread(StudyConfig config) {
+  config.wave_size = config.participants;
+  config.threads = 1;
+  return config;
+}
+
+/// Byte-identical comparison of a run against the one-wave, one-thread
 /// oracle: per-participant detail, the place map, the cloud stats, and the
 /// order-independent content digest.
 void expect_matches_oracle(const StudyResult& oracle, const StudyResult& run,
@@ -79,31 +87,32 @@ void expect_matches_oracle(const StudyResult& oracle, const StudyResult& run,
   EXPECT_EQ(oracle.totals.ad_likes, run.totals.ad_likes);
   EXPECT_EQ(oracle.totals.sensing_joules, run.totals.sensing_joules);
   EXPECT_EQ(oracle.cohorts.size(), run.cohorts.size());
-  // Cloud-side truth: the retire/archive path must not change what the
-  // study stored, only when the per-user record was folded away.
+  // Cloud-side truth: wave barriers and worker interleaving must not change
+  // what the study stored, only when each per-user record was folded away.
   EXPECT_EQ(oracle.storage_stats, run.storage_stats);
   EXPECT_EQ(oracle.storage_digest, run.storage_digest);
 }
 
-// The tentpole differential oracle: the streaming runner (which constructs,
-// runs, syncs, and retires each participant inside a wave) is byte-identical
-// to the materialize-everything reference — same science table, same place
-// map, same cloud content digest.
-TEST(Population, StreamingMatchesMaterializedOracle) {
+// The differential oracle: a barrier after every participant (wave = 1)
+// and the default wave on two threads are byte-identical to one wave run
+// on one thread — same science table, same place map, same cloud content
+// digest.
+TEST(Population, ShapesMatchOneWaveOracle) {
   const StudyResult oracle =
-      DeploymentStudy(small_config(RunnerMode::Materialized)).run();
+      DeploymentStudy(one_wave_one_thread(small_config())).run();
   EXPECT_NE(oracle.storage_digest, 0u);
-  const StudyResult streaming =
-      DeploymentStudy(small_config(RunnerMode::Streaming)).run();
-  expect_matches_oracle(oracle, streaming, "streaming vs materialized");
-  const StudyResult automatic =
-      DeploymentStudy(small_config(RunnerMode::Auto)).run();
-  expect_matches_oracle(oracle, automatic, "auto vs materialized");
+  StudyConfig per_participant = small_config();
+  per_participant.wave_size = 1;
+  expect_matches_oracle(oracle, DeploymentStudy(per_participant).run(),
+                        "wave=1 vs one wave");
+  const StudyResult threaded = DeploymentStudy(small_config()).run();
+  expect_matches_oracle(oracle, threaded,
+                        "default wave, threads=2 vs one wave");
 }
 
 // Wave boundaries must never shift results: populations that don't divide
 // the wave size, fewer participants than worker threads, and the N=1
-// degenerate wave all reproduce the oracle digest.
+// degenerate wave all reproduce the one-wave, one-thread oracle.
 TEST(Population, WaveBoundariesNeverChangeResults) {
   const struct {
     int participants, days, threads, wave;
@@ -119,12 +128,10 @@ TEST(Population, WaveBoundariesNeverChangeResults) {
     config.days = c.days;
     config.threads = c.threads;
     config.wave_size = c.wave;
-    config.runner = RunnerMode::Materialized;
-    const StudyResult oracle = DeploymentStudy(config).run();
-    config.runner = RunnerMode::Streaming;
-    const StudyResult streaming = DeploymentStudy(config).run();
+    const StudyResult oracle = DeploymentStudy(one_wave_one_thread(config)).run();
+    const StudyResult run = DeploymentStudy(config).run();
     expect_matches_oracle(
-        oracle, streaming,
+        oracle, run,
         "N=" + std::to_string(c.participants) +
             " threads=" + std::to_string(c.threads) +
             " wave=" + std::to_string(c.wave));
@@ -138,7 +145,6 @@ TEST(Population, WaveSizeIsAPureMemoryKnob) {
   config.participants = 6;
   config.days = 2;
   config.threads = 2;
-  config.runner = RunnerMode::Streaming;
   std::uint64_t first_digest = 0;
   for (const int wave : {1, 2, 5, 64}) {
     config.wave_size = wave;
@@ -151,7 +157,7 @@ TEST(Population, WaveSizeIsAPureMemoryKnob) {
   EXPECT_NE(first_digest, 0u);
 }
 
-// Above the detail threshold the streaming runner keeps aggregates only:
+// Above the detail threshold the study keeps aggregates only:
 // no per-participant vector, no place map, but the totals and cohort
 // tables still carry the whole study.
 TEST(Population, AggregateModeDropsDetailButKeepsTotals) {
@@ -159,7 +165,6 @@ TEST(Population, AggregateModeDropsDetailButKeepsTotals) {
   config.participants = DeploymentStudy::kDetailThreshold + 4;
   config.days = 1;
   config.threads = 2;
-  config.runner = RunnerMode::Auto;
   const StudyResult run = DeploymentStudy(config).run();
   EXPECT_TRUE(run.participants.empty());
   EXPECT_TRUE(run.place_map.empty());
@@ -273,8 +278,8 @@ TEST(Population, ArenaBackedVisitLogRoundTrips) {
 
 // --- Bounded memory ---
 //
-// The point of the streaming runner: peak RSS must not grow linearly with
-// N. An aggregate-mode run well above the detail threshold may only add a
+// The point of streaming participants in waves: peak RSS must not grow
+// linearly with N. An aggregate-mode run well above the detail threshold may only add a
 // bounded increment on top of the process's prior high-water mark —
 // materializing 320 participants' logs and results would blow through it.
 TEST(Population, StreamingPeakRssIsBounded) {
@@ -283,7 +288,6 @@ TEST(Population, StreamingPeakRssIsBounded) {
   StudyConfig warm;
   warm.participants = 8;
   warm.days = 1;
-  warm.runner = RunnerMode::Streaming;
   (void)DeploymentStudy(warm).run();
 
   const std::uint64_t before = telemetry::read_process_stats().peak_rss_bytes;
@@ -293,15 +297,14 @@ TEST(Population, StreamingPeakRssIsBounded) {
   config.participants = 320;  // 20x the warm-up, far above detail threshold
   config.days = 1;
   config.threads = 2;
-  config.runner = RunnerMode::Streaming;
   const StudyResult run = DeploymentStudy(config).run();
   EXPECT_EQ(run.totals.participants, 320u);
 
   const std::uint64_t after = telemetry::read_process_stats().peak_rss_bytes;
   const std::uint64_t delta = after - before;
-  // Generous absolute ceiling (sanitizers inflate every allocation): a
-  // materialized 320-participant run keeps every engine log, result, and
-  // cloud record live and lands far above this.
+  // Generous absolute ceiling (sanitizers inflate every allocation):
+  // keeping all 320 participants' engine logs, results, and cloud records
+  // live at once lands far above this.
   const std::uint64_t budget =
       (kSanitized ? 768ull : 192ull) * 1024 * 1024;
   EXPECT_LT(delta, budget)
@@ -344,7 +347,7 @@ TEST(Population, InstanceLabelScopeKeepsRegistryBounded) {
   EXPECT_EQ(reg.series_count() - unscoped_before, 10u);
 }
 
-// An aggregate-mode streaming study must leave the registry O(threads):
+// An aggregate-mode study must leave the registry O(threads):
 // the per-family series count after a 300-participant run stays far below
 // the participant count.
 TEST(Population, AggregateStudyKeepsSeriesCountSubLinear) {
@@ -353,7 +356,6 @@ TEST(Population, AggregateStudyKeepsSeriesCountSubLinear) {
   config.participants = 300;
   config.days = 1;
   config.threads = 2;
-  config.runner = RunnerMode::Streaming;
   (void)DeploymentStudy(config).run();
   const std::size_t grown = telemetry::registry().series_count() - before;
   EXPECT_LT(grown, 200u)
@@ -406,7 +408,7 @@ TEST(Arena, AllocatorDegradesToHeapWithoutArena) {
 
 TEST(Arena, VectorWorkloadReachesZeroGrowthSteadyState) {
   util::Arena arena(1 << 16);
-  // Simulate the streaming runner's per-participant engine logs: identical
+  // Simulate the study's per-participant engine logs: identical
   // allocation shapes, arena reset between participants.
   std::size_t after_warmup = 0;
   for (int participant = 0; participant < 8; ++participant) {
