@@ -1,8 +1,53 @@
 #include "sensing/device.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <numbers>
 
 namespace pmware::sensing {
+
+namespace {
+
+// SplitMix64 finalizer: the counter hash behind the per-(t, cell) fade.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// A cell's fade is Box-Muller on two 53-bit uniforms taken from its hash
+// `bits`: u1 = (m + 1)·2^-53 in (0, 1] from the top 53 bits, u2 in [0, 1)
+// from the top 53 bits of mix(bits).
+std::uint64_t u1_mantissa(std::uint64_t bits) { return (bits >> 11) + 1; }
+
+double unit_gaussian(std::uint64_t bits) {
+  const double u1 = static_cast<double>(u1_mantissa(bits)) * 0x1p-53;
+  const double u2 = static_cast<double>(mix(bits) >> 11) * 0x1p-53;
+  return std::sqrt(-2.0 * std::log(u1)) *
+         std::cos(2.0 * std::numbers::pi * u2);
+}
+
+// kUnitBound[countl_zero(m + 1)] bounds |unit_gaussian|: u1 lies in the
+// binade [2^(10-clz), 2^(11-clz)), so -2 ln u1 <= 2 ln2 · (clz - 10). The
+// 1e-9 relative slack covers the rounding of log/sqrt/cos, which keeps
+// the cutoff in read_gsm_into exact in floating point. clz >= 10 always;
+// the largest entry, sqrt(106 ln 2) < 8.58, bounds every fade.
+const std::array<double, 64> kUnitBound = [] {
+  std::array<double, 64> bound{};
+  for (int clz = 10; clz < 64; ++clz)
+    bound[clz] = std::sqrt(2.0 * std::numbers::ln2 * (clz - 10)) * (1 + 1e-9);
+  return bound;
+}();
+
+double unit_bound(std::uint64_t bits) {
+  return kUnitBound[std::countl_zero(u1_mantissa(bits))];
+}
+
+}  // namespace
 
 PositionOracle oracle_from_trace(const mobility::Trace& trace) {
   PositionOracle oracle;
@@ -17,7 +62,17 @@ Device::Device(std::shared_ptr<const world::World> world, PositionOracle oracle,
     : world_(std::move(world)),
       oracle_(std::move(oracle)),
       config_(config),
-      rng_(rng) {}
+      rng_(rng),
+      fading_key_(rng_.engine()()) {}
+
+double Device::fade_db(SimTime t, const world::CellId& cell) const {
+  return config_.fading_sigma_db *
+         unit_gaussian(mix(read_key(t) ^ cell.key()));
+}
+
+std::uint64_t Device::read_key(SimTime t) const {
+  return mix(fading_key_ ^ static_cast<std::uint64_t>(t));
+}
 
 const std::vector<world::HeardCell>& Device::cell_env(const geo::LatLng& pos) {
   ++env_queries_;
@@ -71,26 +126,52 @@ void Device::read_gsm_into(SimTime t, GsmReading& reading) {
                          ? world::Radio::Umts3G
                          : world::Radio::Gsm2G;
 
-  // Add per-sample fading and pick the strongest cell in the preferred RAT;
-  // fall back to any RAT when the preferred layer is silent. The fading
-  // normals are drawn in heard order — the order the cached environment
-  // preserves — so cached and uncached reads consume identical RNG streams.
-  faded_.clear();
-  for (const auto& h : heard)
-    faded_.push_back({h.cell, h.rssi_dbm + rng_.normal(0, config_.fading_sigma_db)});
+  // Fade lazily. Besides the last serving cell (faded on its own by the
+  // hysteresis step), the reading depends only on the strongest
+  // preferred-RAT cell and the k = max_neighbors + 1 strongest cells
+  // overall (the neighbour list plus the serving cell it skips; the first
+  // is the any-RAT fallback), all above detection. `heard` is sorted by
+  // pre-fade RSSI, strongest first, and each cell's hash alone bounds its
+  // fade (unit_bound), so a cell whose pre-fade RSSI plus that bound
+  // cannot reach the k-th best faded so far (nor, for a preferred-RAT cell,
+  // the best preferred so far) is skipped without running log/cos; once
+  // not even the largest possible fade can reach, no later cell can. The
+  // result equals fading every heard cell: a skipped cell ranks below k
+  // evaluated ones (or below the best preferred one) or under detection.
+  const double sigma = config_.fading_sigma_db;
+  const double max_fade = sigma * kUnitBound.back();
+  const std::size_t k = static_cast<std::size_t>(config_.max_neighbors) + 1;
+  const std::uint64_t read_key = this->read_key(t);
+  constexpr double kNone = -std::numeric_limits<double>::infinity();
+  double kth_best = kNone;  // k-th strongest faded so far
+  std::optional<Candidate> best_preferred;
+  top_.clear();  // strongest faded first; ties keep heard order
+  for (const auto& h : heard) {
+    const bool preferred = h.cell.radio == preferred_rat_;
+    const double best_pref = best_preferred ? best_preferred->rssi : kNone;
+    const double floor_pref =
+        std::max(world::kCellDetectionDbm, std::min(kth_best, best_pref));
+    if (h.rssi_dbm + max_fade < floor_pref) break;
+    const std::uint64_t bits = mix(read_key ^ h.cell.key());
+    const double floor =
+        preferred ? floor_pref : std::max(world::kCellDetectionDbm, kth_best);
+    if (h.rssi_dbm + sigma * unit_bound(bits) < floor) continue;
+    const Candidate c{h.cell, h.rssi_dbm + sigma * unit_gaussian(bits)};
+    if (c.rssi < world::kCellDetectionDbm) continue;
+    if (preferred && c.rssi > best_pref) best_preferred = c;
+    if (c.rssi <= kth_best) continue;
+    top_.insert(std::find_if(top_.begin(), top_.end(),
+                             [&](const Candidate& o) { return o.rssi < c.rssi; }),
+                c);
+    if (top_.size() > k) top_.pop_back();
+    if (top_.size() == k) kth_best = top_.back().rssi;
+  }
 
-  auto best_in = [&](std::optional<world::Radio> rat) -> const Candidate* {
-    const Candidate* best = nullptr;
-    for (const auto& c : faded_) {
-      if (rat && c.cell.radio != *rat) continue;
-      if (c.rssi < world::kCellDetectionDbm) continue;
-      if (!best || c.rssi > best->rssi) best = &c;
-    }
-    return best;
-  };
-
-  const Candidate* best = best_in(preferred_rat_);
-  if (best == nullptr) best = best_in(std::nullopt);
+  // Serve the strongest cell in the preferred RAT; fall back to any RAT
+  // when the preferred layer is silent.
+  const Candidate* best = best_preferred ? &*best_preferred
+                          : top_.empty() ? nullptr
+                                         : &top_.front();
   if (best == nullptr) {
     if (last_serving_) {
       reading.serving = *last_serving_;
@@ -104,15 +185,16 @@ void Device::read_gsm_into(SimTime t, GsmReading& reading) {
   bool keep_previous = false;
   if (last_serving_ && last_serving_->radio == best->cell.radio &&
       *last_serving_ != best->cell) {
-    for (const auto& c : faded_) {
-      if (c.cell == *last_serving_ &&
-          c.rssi + config_.reselect_hysteresis_db >= best->rssi &&
-          c.rssi >= world::kCellDetectionDbm) {
-        reading.serving = c.cell;
-        reading.serving_rssi_dbm = c.rssi;
+    for (const auto& h : heard) {
+      if (h.cell != *last_serving_) continue;
+      const double rssi = h.rssi_dbm + fade_db(t, h.cell);
+      if (rssi + config_.reselect_hysteresis_db >= best->rssi &&
+          rssi >= world::kCellDetectionDbm) {
+        reading.serving = h.cell;
+        reading.serving_rssi_dbm = rssi;
         keep_previous = true;
-        break;
       }
+      break;
     }
   }
   if (!keep_previous) {
@@ -122,27 +204,11 @@ void Device::read_gsm_into(SimTime t, GsmReading& reading) {
   last_serving_ = reading.serving;
   last_serving_rssi_ = reading.serving_rssi_dbm;
 
-  // Neighbor list: strongest other cells, any RAT. Only the strongest
-  // max_neighbors + 1 candidates can ever be emitted (the +1 absorbs the
-  // serving cell), so a partial selection replaces the full sort; if any
-  // element of that prefix is below the detection threshold, everything
-  // beyond the prefix is too, so the scan below never needs the rest
-  // ordered.
-  const auto sorted_end =
-      faded_.begin() +
-      static_cast<std::ptrdiff_t>(
-          std::min(faded_.size(),
-                   static_cast<std::size_t>(config_.max_neighbors) + 1));
-  std::partial_sort(
-      faded_.begin(), sorted_end, faded_.end(),
-      [](const Candidate& a, const Candidate& b) { return a.rssi > b.rssi; });
-  for (auto it = faded_.begin(); it != sorted_end; ++it) {
-    const auto& c = *it;
-    if (c.cell == reading.serving) continue;
-    if (c.rssi < world::kCellDetectionDbm) continue;
-    reading.neighbors.push_back(c.cell);
-    if (static_cast<int>(reading.neighbors.size()) >= config_.max_neighbors)
-      break;
+  // Neighbour list: the strongest other cells, any RAT, at most
+  // max_neighbors of them.
+  for (const auto& c : top_) {
+    if (reading.neighbors.size() == k - 1) break;
+    if (c.cell != reading.serving) reading.neighbors.push_back(c.cell);
   }
 }
 

@@ -104,6 +104,11 @@ class Device {
       SimTime t,
       std::span<const std::pair<world::DeviceId, geo::LatLng>> others);
 
+  /// The RSSI fading (dB) `cell` gets in a GSM read at `t`: a pure
+  /// function of the fading key (the first output of the device's Rng),
+  /// `t` and `cell`.
+  double fade_db(SimTime t, const world::CellId& cell) const;
+
   const DeviceConfig& config() const { return config_; }
   const world::World& world() const { return *world_; }
 
@@ -118,11 +123,14 @@ class Device {
   const std::vector<world::HeardCell>& cell_env(const geo::LatLng& pos);
   /// Visible APs at `pos`, memoized on exact position equality.
   const std::vector<world::HeardAp>& ap_env(const geo::LatLng& pos);
+  /// Hash of (fading key, t) shared by every cell's fade in one read.
+  std::uint64_t read_key(SimTime t) const;
 
   std::shared_ptr<const world::World> world_;
   PositionOracle oracle_;
   DeviceConfig config_;
   Rng rng_;
+  std::uint64_t fading_key_ = 0;
   world::Radio preferred_rat_ = world::Radio::Gsm2G;
   std::optional<world::CellId> last_serving_;
   double last_serving_rssi_ = -999;
@@ -142,7 +150,7 @@ class Device {
     world::CellId cell;
     double rssi;
   };
-  std::vector<Candidate> faded_;
+  std::vector<Candidate> top_;  ///< a read's max_neighbors + 1 strongest
   GsmReading gsm_scratch_;
   WifiScan wifi_scratch_;
 };
