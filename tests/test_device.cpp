@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <set>
 
 #include "mobility/participant.hpp"
@@ -86,6 +88,71 @@ TEST_F(DeviceFixture, RatSwitchingProducesBothLayers) {
   for (SimTime t = 0; t < hours(12); t += 60)
     rats.insert(device.read_gsm(t).serving.radio);
   EXPECT_EQ(rats.size(), 2u);
+}
+
+TEST(Device, FadingIsGaussianAndIndependent) {
+  // fade_db over 500 consecutive seconds x 2000 consecutive cell keys
+  // (cid x radio), then lag-1 correlations along t and along the key.
+  const auto world = [] {
+    Rng rng(1);
+    return world::generate_world(world::WorldConfig{}, rng);
+  }();
+  PositionOracle oracle;
+  oracle.position = [c = world->place(0).center](SimTime) { return c; };
+  oracle.activity = [](SimTime) { return mobility::Activity::Still; };
+  oracle.indoors = [](SimTime) { return true; };
+  DeviceConfig config;
+  config.fading_sigma_db = 3.0;
+  Device device(world, oracle, config, Rng(11));
+  const double sigma = config.fading_sigma_db;
+
+  constexpr int kTimes = 500, kCells = 2000;
+  const auto cell = [](int j) {
+    return world::CellId{404, 10, 7, static_cast<std::uint32_t>(1000 + j / 2),
+                         j % 2 == 0 ? world::Radio::Gsm2G : world::Radio::Umts3G};
+  };
+  std::vector<double> z(static_cast<std::size_t>(kTimes) * kCells);
+  const auto at = [&](int i, int j) -> double& {
+    return z[static_cast<std::size_t>(i) * kCells + static_cast<std::size_t>(j)];
+  };
+  double sum = 0, sum_sq = 0, max_abs = 0;
+  for (int i = 0; i < kTimes; ++i)
+    for (int j = 0; j < kCells; ++j) {
+      const double f = device.fade_db(hours(5) + i, cell(j));
+      at(i, j) = f / sigma;
+      sum += f;
+      sum_sq += f * f;
+      max_abs = std::max(max_abs, std::abs(f));
+    }
+  const double n = static_cast<double>(z.size());
+  const double mean = sum / n;
+  const double sd = std::sqrt(sum_sq / n - mean * mean);
+  EXPECT_LT(std::abs(mean), 0.02 * sigma);
+  EXPECT_NEAR(sd, sigma, 0.02 * sigma);
+  EXPECT_LE(max_abs, 8.58 * sigma);
+
+  // Pearson r of each z with its successor along t or along the key.
+  const auto lag1 = [&](bool along_t) {
+    double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0, m = 0;
+    for (int i = 0; i + (along_t ? 1 : 0) < kTimes; ++i)
+      for (int j = 0; j + (along_t ? 0 : 1) < kCells; ++j) {
+        const double x = at(i, j);
+        const double y = along_t ? at(i + 1, j) : at(i, j + 1);
+        sx += x, sy += y, sxx += x * x, syy += y * y, sxy += x * y, m += 1;
+      }
+    return (sxy / m - sx / m * sy / m) /
+           std::sqrt((sxx / m - sx * sx / (m * m)) * (syy / m - sy * sy / (m * m)));
+  };
+  EXPECT_LT(std::abs(lag1(true)), 0.01);
+  EXPECT_LT(std::abs(lag1(false)), 0.01);
+
+  // Pure: reads in between and a repeated query give the same fade.
+  const double once = device.fade_db(hours(5), cell(3));
+  for (SimTime t = 0; t < minutes(30); t += 60) device.read_gsm(t);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(device.fade_db(hours(5), cell(3))),
+            std::bit_cast<std::uint64_t>(once));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(once),
+            std::bit_cast<std::uint64_t>(at(0, 3) * sigma));
 }
 
 TEST_F(DeviceFixture, WifiScanSeesOwnApsAtWifiPlace) {
