@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <stdexcept>
 
 namespace pmware::sensing {
 
@@ -63,7 +64,13 @@ Device::Device(std::shared_ptr<const world::World> world, PositionOracle oracle,
       oracle_(std::move(oracle)),
       config_(config),
       rng_(rng),
-      fading_key_(rng_.engine()()) {}
+      fading_key_(rng_.engine()()) {
+  if (!std::isfinite(config_.fading_sigma_db) || config_.fading_sigma_db < 0)
+    throw std::invalid_argument(
+        "DeviceConfig: fading_sigma_db must be finite and >= 0");
+  if (config_.max_neighbors < 0)
+    throw std::invalid_argument("DeviceConfig: max_neighbors must be >= 0");
+}
 
 double Device::fade_db(SimTime t, const world::CellId& cell) const {
   return config_.fading_sigma_db *

@@ -31,10 +31,10 @@
 namespace pmware::sensing {
 
 struct DeviceConfig {
-  double fading_sigma_db = 3.0;       ///< per-sample RSSI noise
+  double fading_sigma_db = 3.0;       ///< per-sample RSSI noise, finite, >= 0
   double reselect_hysteresis_db = 2.0;///< challenger must beat serving by this
   double rat_switch_prob = 0.06;      ///< chance a read flips preferred 2G/3G
-  int max_neighbors = 6;
+  int max_neighbors = 6;              ///< >= 0
   double wifi_miss_prob = 0.10;       ///< per-AP missed-beacon probability
   double gps_outdoor_valid_prob = 0.97;
   double gps_indoor_valid_prob = 0.55;
@@ -63,6 +63,8 @@ PositionOracle oracle_from_trace(const mobility::Trace& trace);
 
 class Device {
  public:
+  /// Throws std::invalid_argument for a negative or non-finite
+  /// fading_sigma_db or a negative max_neighbors.
   Device(std::shared_ptr<const world::World> world, PositionOracle oracle,
          DeviceConfig config, Rng rng);
 

@@ -1,10 +1,13 @@
 // The GSM read's lazy fading cutoff against a reference that fades every
-// heard cell.
+// heard cell, and the DeviceConfig checks that keep the cutoff's bound
+// valid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
@@ -194,6 +197,25 @@ TEST(Device, LazyFadingMatchesFadeEveryCell) {
   EXPECT_GT(cov.fallback, 0);
   EXPECT_GT(cov.held, 100);
   EXPECT_GT(cov.rat_flips, 100);
+}
+
+TEST(Device, RejectsInvalidFadingConfig) {
+  const auto world = test_world();
+  const PositionOracle oracle =
+      fixed_oracle([c = world->place(0).center](SimTime) { return c; });
+  const auto make = [&](double sigma, int max_neighbors) {
+    DeviceConfig config;
+    config.fading_sigma_db = sigma;
+    config.max_neighbors = max_neighbors;
+    return Device(world, oracle, config, Rng(3));
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double sigma : {-1.0, -1e-300, kInf, -kInf,
+                             std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(make(sigma, 6), std::invalid_argument) << sigma;
+  EXPECT_THROW(make(3.0, -1), std::invalid_argument);
+  EXPECT_NO_THROW(make(0.0, 0));
+  EXPECT_NO_THROW(make(3.0, 6).read_gsm(0));
 }
 
 }  // namespace
