@@ -37,11 +37,13 @@ run_suite() {
 run_suite build "" "$@"
 
 # Golden-digest gate: the deployment study must stay byte-identical to the
-# digest captured at the pre-change baseline and committed with each
-# hot-path PR (tests/golden/study_digest.txt). Catches any perf change that
-# quietly reorders RNG draws or drops samples. Runs with --progress and the
-# timeseries recorder + alert engine at defaults (fully on), so the gate
-# also proves telemetry never perturbs the study.
+# committed digest (tests/golden/study_digest.txt). GSM fading is a pure
+# function of (device key, time, cell), so it no longer depends on draw
+# order or on how many cells a read fades; the other streams (RAT flips,
+# WiFi, GPS, mobility, network, chaos) still do, and the gate catches any
+# perf change that quietly reorders their draws or drops samples. Runs
+# with --progress and the timeseries recorder + alert engine at defaults
+# (fully on), so the gate also proves telemetry never perturbs the study.
 echo "=== golden study digest (telemetry fully enabled) ==="
 golden_digest="$(cat tests/golden/study_digest.txt)"
 # Both wave shapes must reproduce the committed digest: the default wave
@@ -114,7 +116,9 @@ run_suite build-asan "" -DPMWARE_SANITIZE="address;undefined" "$@"
 run_suite build-tsan "-L Sharding|Caching|SchedulerPerf|Concurrency|Alerting|Population|Lifecycle" -DPMWARE_SANITIZE="thread" "$@"
 # Chaos leg: the fault-injection / outbox / circuit-breaker battery again
 # under asan+ubsan, isolated so failures point straight at the recovery
-# machinery, plus the cache battery (the cached study under an outage plan,
+# machinery (the Robustness label also carries the GSM fading cutoff's
+# differential and config-validation tests, so its top-k bookkeeping runs
+# under asan+ubsan too), plus the cache battery (the cached study under an outage plan,
 # digest invalidation) and the alerting battery (rule evaluation over the
 # failure counters those faults drive). Reuses the sanitized build above.
 # Population rides along so the bounded-memory guarantee is asserted under
