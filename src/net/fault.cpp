@@ -6,16 +6,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace pmware::net {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -36,16 +31,16 @@ std::uint64_t fnv1a(const std::string& s) {
 double fault_roll(std::uint64_t seed, const HttpRequest& request,
                   const std::string& gpath, std::size_t rule_index) {
   std::uint64_t h = seed;
-  h = splitmix64(h ^ static_cast<std::uint64_t>(request.sim_time()));
-  h = splitmix64(h ^ fnv1a(gpath));
-  h = splitmix64(h ^ fnv1a(request.body.dump()));
+  h = Rng::splitmix64(h ^ static_cast<std::uint64_t>(request.sim_time()));
+  h = Rng::splitmix64(h ^ fnv1a(gpath));
+  h = Rng::splitmix64(h ^ fnv1a(request.body.dump()));
   const auto it = request.headers.find(kAttemptHeader);
   const std::uint64_t attempt =
       it == request.headers.end()
           ? 0
           : static_cast<std::uint64_t>(std::atoll(it->second.c_str()));
-  h = splitmix64(h ^ attempt);
-  h = splitmix64(h ^ static_cast<std::uint64_t>(rule_index));
+  h = Rng::splitmix64(h ^ attempt);
+  h = Rng::splitmix64(h ^ static_cast<std::uint64_t>(rule_index));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
@@ -84,10 +79,10 @@ double device_roll(std::uint64_t seed, const std::string& device_key,
                    std::int64_t day, std::size_t rule_index,
                    std::uint64_t salt) {
   std::uint64_t h = seed;
-  h = splitmix64(h ^ fnv1a(device_key));
-  h = splitmix64(h ^ static_cast<std::uint64_t>(day));
-  h = splitmix64(h ^ static_cast<std::uint64_t>(rule_index));
-  h = splitmix64(h ^ salt);
+  h = Rng::splitmix64(h ^ fnv1a(device_key));
+  h = Rng::splitmix64(h ^ static_cast<std::uint64_t>(day));
+  h = Rng::splitmix64(h ^ static_cast<std::uint64_t>(rule_index));
+  h = Rng::splitmix64(h ^ salt);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 

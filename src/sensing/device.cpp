@@ -12,22 +12,14 @@ namespace pmware::sensing {
 
 namespace {
 
-// SplitMix64 finalizer: the counter hash behind the per-(t, cell) fade.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // A cell's fade is Box-Muller on two 53-bit uniforms taken from its hash
 // `bits`: u1 = (m + 1)·2^-53 in (0, 1] from the top 53 bits, u2 in [0, 1)
-// from the top 53 bits of mix(bits).
+// from the top 53 bits of Rng::splitmix64(bits).
 std::uint64_t u1_mantissa(std::uint64_t bits) { return (bits >> 11) + 1; }
 
 double unit_gaussian(std::uint64_t bits) {
   const double u1 = static_cast<double>(u1_mantissa(bits)) * 0x1p-53;
-  const double u2 = static_cast<double>(mix(bits) >> 11) * 0x1p-53;
+  const double u2 = static_cast<double>(Rng::splitmix64(bits) >> 11) * 0x1p-53;
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
 }
@@ -74,11 +66,11 @@ Device::Device(std::shared_ptr<const world::World> world, PositionOracle oracle,
 
 double Device::fade_db(SimTime t, const world::CellId& cell) const {
   return config_.fading_sigma_db *
-         unit_gaussian(mix(read_key(t) ^ cell.key()));
+         unit_gaussian(Rng::splitmix64(read_key(t) ^ cell.key()));
 }
 
 std::uint64_t Device::read_key(SimTime t) const {
-  return mix(fading_key_ ^ static_cast<std::uint64_t>(t));
+  return Rng::splitmix64(fading_key_ ^ static_cast<std::uint64_t>(t));
 }
 
 const std::vector<world::HeardCell>& Device::cell_env(const geo::LatLng& pos) {
@@ -159,7 +151,7 @@ void Device::read_gsm_into(SimTime t, GsmReading& reading) {
     const double floor_pref =
         std::max(world::kCellDetectionDbm, std::min(kth_best, best_pref));
     if (h.rssi_dbm + max_fade < floor_pref) break;
-    const std::uint64_t bits = mix(read_key ^ h.cell.key());
+    const std::uint64_t bits = Rng::splitmix64(read_key ^ h.cell.key());
     const double floor =
         preferred ? floor_pref : std::max(world::kCellDetectionDbm, kth_best);
     if (h.rssi_dbm + sigma * unit_bound(bits) < floor) continue;
@@ -167,9 +159,8 @@ void Device::read_gsm_into(SimTime t, GsmReading& reading) {
     if (c.rssi < world::kCellDetectionDbm) continue;
     if (preferred && c.rssi > best_pref) best_preferred = c;
     if (c.rssi <= kth_best) continue;
-    top_.insert(std::find_if(top_.begin(), top_.end(),
-                             [&](const Candidate& o) { return o.rssi < c.rssi; }),
-                c);
+    const auto weaker = [&](const Candidate& o) { return o.rssi < c.rssi; };
+    top_.insert(std::find_if(top_.begin(), top_.end(), weaker), c);
     if (top_.size() > k) top_.pop_back();
     if (top_.size() == k) kth_best = top_.back().rssi;
   }

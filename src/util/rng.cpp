@@ -4,21 +4,9 @@
 
 namespace pmware {
 
-namespace {
-
-// SplitMix64 finalizer: decorrelates fork salts from the parent stream.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 Rng Rng::fork(std::uint64_t salt) {
   const std::uint64_t base = engine_();
-  return Rng(mix(base ^ mix(salt)));
+  return Rng(splitmix64(base ^ splitmix64(salt)));
 }
 
 double Rng::uniform(double lo, double hi) {

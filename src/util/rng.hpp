@@ -20,6 +20,15 @@ class Rng {
   /// yields the same stream.
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
+  /// SplitMix64 finalizer: a fixed, platform-independent 64-bit mix. Fork
+  /// salts, fault-plan rolls, shard placement and GSM fading hash with it.
+  static std::uint64_t splitmix64(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
   /// Derives an independent child generator; `salt` distinguishes siblings
   /// derived from the same parent (e.g. one child per participant).
   Rng fork(std::uint64_t salt);

@@ -108,12 +108,13 @@ TEST(Device, FadingIsGaussianAndIndependent) {
 
   constexpr int kTimes = 500, kCells = 2000;
   const auto cell = [](int j) {
+    const auto radio = j % 2 == 0 ? world::Radio::Gsm2G : world::Radio::Umts3G;
     return world::CellId{404, 10, 7, static_cast<std::uint32_t>(1000 + j / 2),
-                         j % 2 == 0 ? world::Radio::Gsm2G : world::Radio::Umts3G};
+                         radio};
   };
   std::vector<double> z(static_cast<std::size_t>(kTimes) * kCells);
   const auto at = [&](int i, int j) -> double& {
-    return z[static_cast<std::size_t>(i) * kCells + static_cast<std::size_t>(j)];
+    return z[static_cast<std::size_t>(i * kCells + j)];
   };
   double sum = 0, sum_sq = 0, max_abs = 0;
   for (int i = 0; i < kTimes; ++i)
@@ -140,8 +141,9 @@ TEST(Device, FadingIsGaussianAndIndependent) {
         const double y = along_t ? at(i + 1, j) : at(i, j + 1);
         sx += x, sy += y, sxx += x * x, syy += y * y, sxy += x * y, m += 1;
       }
-    return (sxy / m - sx / m * sy / m) /
-           std::sqrt((sxx / m - sx * sx / (m * m)) * (syy / m - sy * sy / (m * m)));
+    const double var_x = sxx / m - sx * sx / (m * m);
+    const double var_y = syy / m - sy * sy / (m * m);
+    return (sxy / m - sx / m * sy / m) / std::sqrt(var_x * var_y);
   };
   EXPECT_LT(std::abs(lag1(true)), 0.01);
   EXPECT_LT(std::abs(lag1(false)), 0.01);

@@ -103,8 +103,9 @@ class FadeEveryCellReader {
     }
     last_ = reading.serving;
 
-    std::stable_sort(faded.begin(), faded.end(),
-                     [](const Faded& a, const Faded& b) { return a.rssi > b.rssi; });
+    std::stable_sort(
+        faded.begin(), faded.end(),
+        [](const Faded& a, const Faded& b) { return a.rssi > b.rssi; });
     const std::size_t k = static_cast<std::size_t>(config.max_neighbors) + 1;
     for (std::size_t i = 0; i < std::min(k, faded.size()); ++i) {
       if (reading.neighbors.size() ==
@@ -170,8 +171,9 @@ TEST(Device, LazyFadingMatchesFadeEveryCell) {
   for (const double sigma : {0.0, 1.0, 3.0, 8.0}) {
     for (const int max_neighbors : {0, 1, 6, 12}) {
       for (const Walk& walk : walks) {
-        SCOPED_TRACE(::testing::Message() << walk.name << " sigma=" << sigma
-                                          << " max_neighbors=" << max_neighbors);
+        SCOPED_TRACE(::testing::Message()
+                     << walk.name << " sigma=" << sigma
+                     << " max_neighbors=" << max_neighbors);
         DeviceConfig config;
         config.fading_sigma_db = sigma;
         config.max_neighbors = max_neighbors;
