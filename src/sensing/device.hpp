@@ -6,18 +6,29 @@
 // per-sample fading, load-dependent reselection, and 2G<->3G handoff. GCA's
 // movement graph exists to absorb exactly this noise.
 //
+// Fading contract: a cell's fade at time t is a pure function of the
+// device's fading key, t and the cell — fade_db(t, cell) = σ·z with z a
+// Box-Muller normal on two 53-bit uniforms hashed (splitmix64) from the
+// three, so |z| <= sqrt(106 ln 2) < 8.58. The key is the first 64-bit output
+// of the device's Rng, taken at construction. A GSM read fades only the
+// cells that can change it: heard cells are walked strongest pre-fade
+// first, and a cell whose pre-fade RSSI plus its hash-derived bound cannot
+// reach the serving choice or the top max_neighbors + 1 is skipped without
+// running the transcendentals. The cutoff is exact: every reading equals
+// the one from fading every heard cell with the same fade_db, and no fade
+// depends on the order or number of cells evaluated.
+//
 // Hot-path structure: the deterministic part of the radio environment —
 // which towers/APs are hearable at a position and their pre-fading RSSI —
 // is a pure function of the position, and participants dwell at places for
 // most of the day, so the device memoizes it keyed on the exact position
 // and only re-runs the spatial query + path-loss + sort when the position
-// changes. The stochastic part (per-sample fading, missed beacons) is drawn
-// per sample from the device RNG in exactly the same order as the uncached
-// path, so readings are byte-identical with the cache on or off
-// (reuse_world_env) — that equivalence is what lets the deployment study
-// digests stay unchanged. The *_into / *_run entry points reuse
-// caller-owned readings and internal scratch buffers: after warmup the
-// per-sample loop performs no heap allocations.
+// changes. The other stochastic parts (preferred-RAT flips, missed beacons,
+// WiFi/GPS noise) are drawn from the device Rng in the same order with the
+// cache on or off (reuse_world_env), so readings are byte-identical either
+// way. The *_into / *_run entry points reuse caller-owned readings and
+// internal scratch buffers: after warmup the per-sample loop performs no
+// heap allocations.
 #pragma once
 
 #include <functional>
