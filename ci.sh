@@ -51,15 +51,17 @@ golden_digest="$(cat tests/golden/study_digest.txt)"
 # before admitting the next. An empty wave_args means the default wave.
 for wave_args in "" "--wave 1"; do
   wave_name="${wave_args:-default wave}"
-  actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
-      --threads 2 --shards 4 ${wave_args} --progress 2>/dev/null |
-    sed -n 's/^cloud content digest: //p')"
+  study_out="$(./build/examples/studyctl --participants 4 --days 3 \
+      --threads 2 --shards 4 ${wave_args} --progress 2>/dev/null)"
+  actual_digest="$(sed -n 's/^cloud content digest: //p' <<<"${study_out}")"
   if [[ "${actual_digest}" != "${golden_digest}" ]]; then
     echo "golden digest mismatch (${wave_name}): got" \
          "'${actual_digest}', expected '${golden_digest}'" >&2
     exit 1
   fi
   echo "study digest ${actual_digest} matches golden (${wave_name})"
+  # Printed, not gated: the request bytes the wire codec put on the wire.
+  grep -m1 'wire bytes sent:' <<<"${study_out}" | sed 's/^ *//' || true
 done
 
 # Crashed-study golden gate: the same study under a pinned device-lifecycle
@@ -126,6 +128,12 @@ run_suite build-tsan "-L Sharding|Caching|SchedulerPerf|Concurrency|Alerting|Pop
 # Lifecycle runs the checkpoint/restore corruption battery and the
 # crash/wipe/churn study under asan, where a half-applied restore or a
 # stale pointer across a PMS teardown/reboot would trip immediately.
+# Robustness also carries the discover-decoder battery
+# (Robustness.MalformedDiscoverBodiesAreRejectedWhole): malformed columnar
+# offload bodies — mismatched columns, out-of-range or non-numeric cell
+# indices, a non-array or out-of-range cell table, missing columns — must
+# answer 400 without touching the retained GSM stream, so an out-of-bounds
+# index or a half-applied suffix trips asan+ubsan here.
 echo "=== ctest: build-asan chaos (-L Robustness|Caching|Alerting|Population|Lifecycle) ==="
 (cd build-asan && ctest --output-on-failure -j "$(nproc)" -L "Robustness|Caching|Alerting|Population|Lifecycle")
 

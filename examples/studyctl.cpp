@@ -285,6 +285,15 @@ int main(int argc, char** argv) {
   std::printf("  faults injected:   %llu\n",
               static_cast<unsigned long long>(
                   reg.family_total("cloud_faults_injected_total")));
+  // Serialized request-body bytes across every client and retry: the size
+  // of the wire codec's output, printed (not gated) by ci.sh's golden run.
+  const std::uint64_t wire_bytes = reg.family_total("net_bytes_sent_total");
+  const std::uint64_t pd = study.participant_days_total();
+  std::printf("  wire bytes sent:   %llu (%.0f per participant-day)\n",
+              static_cast<unsigned long long>(wire_bytes),
+              pd > 0 ? static_cast<double>(wire_bytes) /
+                           static_cast<double>(pd)
+                     : 0.0);
   const std::size_t lost = evicted + pending;
   std::printf("  recovered vs lost: %zu recovered, %zu lost (%zu evicted, "
               "%zu still pending)%s\n",

@@ -309,9 +309,8 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
-    std::vector<algorithms::CellObservation> observations;
-    for (const auto& o : req.body.at("observations").as_array())
-      observations.push_back(core::observation_from_json(o));
+    std::vector<algorithms::CellObservation> observations =
+        core::observations_from_json(req.body.at("observations"));
     Json body;
     {
       const auto locked = storage_.locked_user(user);

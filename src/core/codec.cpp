@@ -1,7 +1,9 @@
 #include "core/codec.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/strfmt.hpp"
 
@@ -26,12 +28,26 @@ Json to_json(const world::CellId& cell) {
   return j;
 }
 
+namespace {
+
+/// `j[key]` as an unsigned field of type T; a negative or wider value throws
+/// instead of wrapping in the narrowing cast.
+template <typename T>
+T unsigned_field(const Json& j, const char* key) {
+  const std::int64_t v = j.at(key).as_int();
+  if (v < 0 || static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max())
+    throw JsonError(std::string("cell field out of range: ") + key);
+  return static_cast<T>(v);
+}
+
+}  // namespace
+
 world::CellId cell_from_json(const Json& j) {
   world::CellId cell;
-  cell.mcc = static_cast<std::uint16_t>(j.at("mcc").as_int());
-  cell.mnc = static_cast<std::uint16_t>(j.at("mnc").as_int());
-  cell.lac = static_cast<std::uint16_t>(j.at("lac").as_int());
-  cell.cid = static_cast<std::uint32_t>(j.at("cid").as_int());
+  cell.mcc = unsigned_field<std::uint16_t>(j, "mcc");
+  cell.mnc = unsigned_field<std::uint16_t>(j, "mnc");
+  cell.lac = unsigned_field<std::uint16_t>(j, "lac");
+  cell.cid = unsigned_field<std::uint32_t>(j, "cid");
   cell.radio = j.get_string("radio", "2g") == "3g" ? world::Radio::Umts3G
                                                    : world::Radio::Gsm2G;
   return cell;
@@ -138,6 +154,52 @@ Json to_json(const algorithms::CellObservation& obs) {
 
 algorithms::CellObservation observation_from_json(const Json& j) {
   return {j.at("t").as_int(), cell_from_json(j.at("cell"))};
+}
+
+Json observations_to_json(
+    std::span<const algorithms::CellObservation> observations) {
+  Json::Array times, indices, cells;
+  times.reserve(observations.size());
+  indices.reserve(observations.size());
+  // Keyed on the full CellId: key() is lossy (cid >= 2^25 overlaps lac) and
+  // wider than a JSON number's 53-bit mantissa, so it cannot name a cell.
+  std::unordered_map<world::CellId, std::size_t> index_of;
+  SimTime previous = 0;
+  for (const auto& obs : observations) {
+    times.emplace_back(obs.t - previous);
+    previous = obs.t;
+    const auto [it, fresh] = index_of.try_emplace(obs.cell, cells.size());
+    if (fresh) cells.push_back(to_json(obs.cell));
+    indices.emplace_back(static_cast<std::uint64_t>(it->second));
+  }
+  Json j = Json::object();
+  j.set("t", std::move(times));
+  j.set("cells", std::move(cells));
+  j.set("c", std::move(indices));
+  return j;
+}
+
+std::vector<algorithms::CellObservation> observations_from_json(const Json& j) {
+  const Json::Array& times = j.at("t").as_array();
+  const Json::Array& indices = j.at("c").as_array();
+  const Json::Array& table = j.at("cells").as_array();
+  if (times.size() != indices.size())
+    throw JsonError("observations: t and c differ in length");
+  std::vector<world::CellId> cells;
+  cells.reserve(table.size());
+  for (const auto& cell : table) cells.push_back(cell_from_json(cell));
+  std::vector<algorithms::CellObservation> observations;
+  observations.reserve(times.size());
+  SimTime t = 0;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (__builtin_add_overflow(t, times[i].as_int(), &t))
+      throw JsonError("observations: time overflows");
+    const std::int64_t index = indices[i].as_int();
+    if (index < 0 || static_cast<std::uint64_t>(index) >= cells.size())
+      throw JsonError("observations: cell index out of range");
+    observations.push_back({t, cells[static_cast<std::size_t>(index)]});
+  }
+  return observations;
 }
 
 Json to_json(const algorithms::GcaResult& result) {

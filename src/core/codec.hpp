@@ -2,12 +2,14 @@
 // and the checkpoint's JSONL lines. This module is the only place that
 // knows how a model type looks as JSON: the mobile service, the cloud
 // handlers and the persistence layer all encode and decode through it.
-// Decoders throw JsonError on a missing required field.
+// Decoders throw JsonError on a missing required field or a number outside
+// its field's range.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "algorithms/gca.hpp"
 #include "algorithms/routes.hpp"
@@ -30,9 +32,20 @@ algorithms::PlaceSignature signature_from_json(const Json& j);
 Json to_json(const PlaceRecord& record);
 PlaceRecord place_record_from_json(const Json& j);
 
-/// {t, cell}: one GSM observation (GCA offload body, gsm_log lines).
+/// {t, cell}: one GSM observation (gsm_log lines, route upload cells).
 Json to_json(const algorithms::CellObservation& obs);
 algorithms::CellObservation observation_from_json(const Json& j);
+
+/// {t[], cells[], c[]}: a run of GSM observations in columns — the GCA
+/// offload body's "observations" field. `t` holds the times delta-coded
+/// (the first delta taken from 0), `cells` the run's distinct cells in
+/// first-appearance order, and `c` one index into `cells` per observation.
+/// Cells are deduplicated on the full CellId, never on the lossy key().
+/// Decoding throws JsonError on a missing column, a `t`/`c` length
+/// mismatch, an index outside `cells`, or a time that overflows SimTime.
+Json observations_to_json(
+    std::span<const algorithms::CellObservation> observations);
+std::vector<algorithms::CellObservation> observations_from_json(const Json& j);
 
 /// {places[{signature,total_dwell}], visits[{place,arrival,departure}]}:
 /// the discover response. Decoding rebuilds `cell_to_place`.

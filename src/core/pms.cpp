@@ -178,7 +178,7 @@ bool PmwareMobileService::register_with_cloud(SimTime now) {
   request.body = Json::object();
   request.body.set("imei", config_.imei);
   request.body.set("email", config_.email);
-  const net::HttpResponse response = client_->send(request);
+  const net::HttpResponse response = client_->send(std::move(request));
   if (!response.ok()) {
     telemetry::slog_warn("pms", now, "registration failed: %d",
                          response.status);
@@ -202,7 +202,7 @@ void PmwareMobileService::maybe_refresh_token(SimTime now) {
   if (token_expires_ - now >= hours(6)) return;
   net::HttpRequest request =
       make_request(net::Method::Post, "/api/token/refresh", now);
-  const net::HttpResponse response = client_->send(request);
+  const net::HttpResponse response = client_->send(std::move(request));
   if (response.ok()) {
     client_->set_auth_token(response.body.at("token").as_string());
     token_expires_ = response.body.at("expires_at").as_int();
@@ -218,8 +218,9 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
   // Rolling movement digest: the GSM log is append-only, so extend the
   // digest over just the new observations instead of re-folding the whole
   // log every pass. A shrunk log (a different stream) resets the fold —
-  // the same guard GcaState applies.
-  if (observations.size() < digest_fed_) {
+  // the same guard GcaState applies — and so does an acknowledged prefix
+  // longer than the fold, which only a corrupt checkpoint can restore.
+  if (observations.size() < digest_fed_ || digest_fed_ < upload_acked_) {
     digest_fed_ = 0;
     digest_ = cache::kDigestBasis;
     upload_acked_ = 0;
@@ -254,11 +255,9 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
     auto build_request = [&](std::size_t from, bool with_prefix) {
       net::HttpRequest request =
           make_request(net::Method::Post, "/api/places/discover", now);
-      Json arr = Json::array();
-      for (std::size_t i = from; i < observations.size(); ++i)
-        arr.push_back(to_json(observations[i]));
       request.body = Json::object();
-      request.body.set("observations", std::move(arr));
+      request.body.set("observations",
+                       observations_to_json(observations.subspan(from)));
       if (with_prefix) {
         request.body.set("prefix_len", static_cast<std::int64_t>(from));
         request.body.set("prefix_digest", digest_to_hex(upload_digest_));
@@ -447,7 +446,7 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
           net::Method::Put, strfmt("/api/users/%u/profiles/%lld", *user_id_,
                                    static_cast<long long>(day)));
       request.body = to_json(profile);
-      const DeliverOutcome outcome = verdict(client_->send(request));
+      const DeliverOutcome outcome = verdict(client_->send(std::move(request)));
       if (outcome == DeliverOutcome::Gone &&
           static_cast<std::size_t>(day) < day_digest_cache_.size()) {
         // Honor the wipe: content the cloud refused under its pre-wipe
@@ -481,7 +480,7 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
                                    static_cast<unsigned long long>(uid)));
       request.body = to_json(stripped);
       const std::uint64_t digest = fnv1a(request.body.dump());
-      const net::HttpResponse response = client_->send(request);
+      const net::HttpResponse response = client_->send(std::move(request));
       if (const DeliverOutcome outcome = verdict(response);
           outcome != DeliverOutcome::Delivered) {
         // Same wipe-honoring pin as ProfileDay: a tombstoned upsert stays
@@ -535,7 +534,7 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       // delivery), while the new incarnation's fresh log indices sit in a
       // strictly higher epoch and can never be wrongly deduplicated.
       request.body.set("seq", (entry.epoch << 32) | entry.key);
-      return verdict(client_->send(request));
+      return verdict(client_->send(std::move(request)));
     }
     case SyncKind::EncounterBatch: {
       const auto& encounter_log = engine_.encounter_log();
@@ -554,7 +553,7 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       // contiguous, so the cloud's trim arithmetic stays exact.
       request.body.set("first_index", (entry.epoch << 32) | entry.key);
       request.body.set("encounters", std::move(encounters));
-      return verdict(client_->send(request));
+      return verdict(client_->send(std::move(request)));
     }
   }
   return DeliverOutcome::Delivered;
@@ -678,7 +677,7 @@ bool PmwareMobileService::tag_place(PlaceUid uid, const std::string& label,
         now);
     request.body = Json::object();
     request.body.set("label", label);
-    const net::HttpResponse response = client_->send(request);
+    const net::HttpResponse response = client_->send(std::move(request));
     if (!response.ok()) {
       // No outbox entry needed: the label rides the place record, whose
       // digest just changed — the next housekeeping tick re-upserts it.

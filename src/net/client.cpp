@@ -90,7 +90,7 @@ void RestClient::record_outcome(bool delivered, SimTime sim_now) {
   }
 }
 
-HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
+HttpResponse RestClient::send(HttpRequest request, int max_retries) {
   const SimTime sim_now = request.sim_time();
 
   // Breaker gate: while open and inside the cooldown, fail fast without
@@ -106,10 +106,9 @@ HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
     enter_state(BreakerState::HalfOpen);
   }
 
-  HttpRequest outgoing = request;
-  if (!token_.empty() && outgoing.headers.find("Authorization") ==
-                             outgoing.headers.end())
-    outgoing.headers["Authorization"] = "Bearer " + token_;
+  if (!token_.empty() &&
+      request.headers.find("Authorization") == request.headers.end())
+    request.headers["Authorization"] = "Bearer " + token_;
 
   // A half-open breaker admits exactly one probe: no retries, so a dead
   // server costs one round-trip per cooldown instead of a full retry burst.
@@ -122,12 +121,12 @@ HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
   // trace-context headers so the server-side handler span joins the same
   // tree — the device↔cloud boundary stays one causal trace.
   telemetry::Span span(telemetry::tracer(),
-                       std::string("net.send ") + to_string(outgoing.method) +
-                           " " + generalized_path(outgoing.path),
+                       std::string("net.send ") + to_string(request.method) +
+                           " " + generalized_path(request.path),
                        sim_now);
-  outgoing.set_trace_context(telemetry::tracer().current_context());
+  request.set_trace_context(telemetry::tracer().current_context());
 
-  const std::size_t body_bytes = outgoing.body.dump().size();
+  const std::size_t body_bytes = request.body.dump().size();
 
   HttpResponse response =
       HttpResponse::error(kStatusServiceUnavailable, "network unreachable");
@@ -157,12 +156,12 @@ HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
     // Sim-time is frozen across this loop, so retries of one logical request
     // are byte-identical; the attempt header is what lets a deterministic
     // server-side fault roll (net/fault.hpp) treat each retry as fresh.
-    outgoing.headers[kAttemptHeader] = std::to_string(attempt);
+    request.headers[kAttemptHeader] = std::to_string(attempt);
     if (rng_.bernoulli(conditions_.failure_prob)) {
       failures_.inc();
       continue;  // request lost; retry
     }
-    response = server_->handle(outgoing);
+    response = server_->handle(request);
     if (response.sim_latency_s > 0) {
       latency_.inc(static_cast<std::uint64_t>(response.sim_latency_s));
       elapsed += response.sim_latency_s;

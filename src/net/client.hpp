@@ -75,8 +75,11 @@ class RestClient {
   /// 503s with capped exponential backoff. `max_retries` = -1 (default)
   /// uses the RetryPolicy; an explicit value overrides the attempt budget
   /// for this call only. Returns the final response (503 if every attempt
-  /// failed, or immediately if the circuit breaker is open).
-  HttpResponse send(const HttpRequest& request, int max_retries = -1);
+  /// failed, or immediately if the circuit breaker is open). The request is
+  /// taken by value and stamped in place (auth, trace and attempt headers):
+  /// a caller that is done with its request moves it in and nothing is
+  /// copied.
+  HttpResponse send(HttpRequest request, int max_retries = -1);
 
   /// Assembled from the metrics registry (family "net_*", this client's
   /// instance label); zeros after telemetry::registry().reset().

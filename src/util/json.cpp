@@ -19,6 +19,11 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   if (type_ != Type::Number) throw JsonError("not a number");
+  // llround is unspecified outside int64; reject rather than let an
+  // arbitrary value reach a length, an index or a narrowing cast. -2^63 is
+  // representable, 2^63 is not; NaN fails both comparisons.
+  if (!(num_ >= -0x1p63 && num_ < 0x1p63))
+    throw JsonError("number out of integer range");
   return static_cast<std::int64_t>(std::llround(num_));
 }
 

@@ -57,7 +57,9 @@ class Json {
   bool is_array() const { return type_ == Type::Array; }
   bool is_object() const { return type_ == Type::Object; }
 
-  /// Typed accessors; throw JsonError on type mismatch.
+  /// Typed accessors; throw JsonError on type mismatch. as_int rounds to
+  /// the nearest integer and throws for a number outside the int64 range
+  /// (including inf and NaN).
   bool as_bool() const;
   double as_double() const;
   std::int64_t as_int() const;

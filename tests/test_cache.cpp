@@ -146,19 +146,15 @@ TEST_F(ConditionalFixture, CacheOffRecomputesEveryDiscover) {
     c.cid = cid;
     return c;
   };
-  Json observations = Json::array();
-  for (int m = 0; m < 120; ++m) {
-    Json o = Json::object();
-    o.set("t", static_cast<std::int64_t>(minutes(m)));
-    o.set("cell", core::to_json(cell(m % 2 == 0 ? 10 : 11)));
-    observations.push_back(std::move(o));
-  }
+  std::vector<algorithms::CellObservation> run;
+  for (int m = 0; m < 120; ++m)
+    run.push_back({minutes(m), cell(m % 2 == 0 ? 10 : 11)});
+  const Json observations = core::observations_to_json(run);
   std::string body;
   for (int round = 0; round < 3; ++round) {
     HttpRequest req = request(Method::Post, "/api/places/discover");
     req.body = Json::object();
-    Json copy = observations;
-    req.body.set("observations", std::move(copy));
+    req.body.set("observations", observations);
     const HttpResponse res = client_->send(req);
     ASSERT_EQ(res.status, net::kStatusOk);
     if (body.empty())

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace pmware::core {
 namespace {
 
@@ -202,6 +205,157 @@ TEST(Codec, ActivityDigestHexAndMovementDigestChain) {
   const std::span<const algorithms::CellObservation> all(log);
   EXPECT_EQ(movement_digest(all.subspan(1), movement_digest(all.first(1))),
             movement_digest(all));
+}
+
+TEST(Codec, CellFieldsOutOfRangeThrow) {
+  const auto with = [](const char* field, double value) {
+    Json j = to_json(cell(1));
+    j.set(field, value);
+    return j;
+  };
+  for (const char* field : {"mcc", "mnc", "lac"}) {
+    EXPECT_THROW(cell_from_json(with(field, -1)), JsonError) << field;
+    EXPECT_THROW(cell_from_json(with(field, 65536)), JsonError) << field;
+    EXPECT_NO_THROW(cell_from_json(with(field, 65535))) << field;
+  }
+  EXPECT_THROW(cell_from_json(with("cid", -1)), JsonError);
+  EXPECT_THROW(cell_from_json(with("cid", 0x1p32)), JsonError);
+  EXPECT_THROW(cell_from_json(with("cid", 1e300)), JsonError);
+  EXPECT_EQ(cell_from_json(with("cid", 0x1p32 - 1)).cid, 0xffffffffu);
+}
+
+// --- Columnar observation runs (the GCA offload body) ---------------------
+
+using ObsRun = std::vector<algorithms::CellObservation>;
+
+/// Encodes, serializes, re-parses and decodes `run`; the result must equal
+/// it observation for observation, and so must its movement digest.
+void expect_round_trip(std::span<const algorithms::CellObservation> run) {
+  const ObsRun decoded =
+      observations_from_json(Json::parse(observations_to_json(run).dump()));
+  ASSERT_EQ(decoded.size(), run.size());
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    EXPECT_EQ(decoded[i].t, run[i].t) << "observation " << i;
+    EXPECT_EQ(decoded[i].cell, run[i].cell) << "observation " << i;
+  }
+  EXPECT_EQ(movement_digest(decoded), movement_digest(run));
+}
+
+TEST(CodecColumns, EmptyRun) {
+  const Json j = observations_to_json({});
+  EXPECT_EQ(j.dump(), R"({"c":[],"cells":[],"t":[]})");
+  expect_round_trip({});
+}
+
+TEST(CodecColumns, SingleObservation) {
+  const ObsRun run = {{hours(5), cell(7)}};
+  const Json j = observations_to_json(run);
+  EXPECT_EQ(j.at("t")[0].as_int(), hours(5));  // first delta is from 0
+  ASSERT_EQ(j.at("cells").size(), 1u);
+  EXPECT_EQ(cell_from_json(j.at("cells")[0]), cell(7));
+  EXPECT_EQ(j.at("c")[0].as_int(), 0);
+  expect_round_trip(run);
+}
+
+TEST(CodecColumns, AlternatingCellsShareTwoDictionaryEntries) {
+  ObsRun run;
+  for (int i = 0; i < 100; ++i)
+    run.push_back({hours(1) + i * 60, cell(i % 2 == 0 ? 10 : 11)});
+  const Json j = observations_to_json(run);
+  EXPECT_EQ(j.at("cells").size(), 2u);
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    EXPECT_EQ(j.at("c")[i].as_int(), static_cast<std::int64_t>(i % 2));
+    if (i > 0) {
+      EXPECT_EQ(j.at("t")[i].as_int(), 60);
+    }
+  }
+  expect_round_trip(run);
+}
+
+TEST(CodecColumns, CellsDifferingOnlyInRadioStayDistinct) {
+  const ObsRun run = {{0, cell(5, world::Radio::Gsm2G)},
+                   {60, cell(5, world::Radio::Umts3G)},
+                   {120, cell(5, world::Radio::Gsm2G)}};
+  EXPECT_EQ(observations_to_json(run).at("cells").size(), 2u);
+  expect_round_trip(run);
+}
+
+TEST(CodecColumns, CellsWithCollidingKeysStayDistinct) {
+  // cid >= 2^25 spills into lac's bits of key(): these two cells pack to
+  // the same key, so only a full-CellId dictionary keeps them apart.
+  const CellId spill{404, 10, 100, 1u << 25, world::Radio::Gsm2G};
+  const CellId next_lac{404, 10, 101, 0, world::Radio::Gsm2G};
+  ASSERT_NE(spill, next_lac);
+  ASSERT_EQ(spill.key(), next_lac.key());
+  const ObsRun run = {{0, spill}, {60, next_lac}, {120, spill}};
+  const Json j = observations_to_json(run);
+  EXPECT_EQ(j.at("cells").size(), 2u);
+  expect_round_trip(run);
+}
+
+TEST(CodecColumns, TimesNearTwoToTheFortyAreExact) {
+  const SimTime base = (SimTime{1} << 40) - 90;
+  ObsRun run;
+  for (int i = 0; i < 5; ++i) run.push_back({base + i * 61, cell(1 + i % 3)});
+  expect_round_trip(run);
+}
+
+TEST(CodecColumns, SuffixSubspanStartsItsDeltasFromZero) {
+  ObsRun run;
+  for (int i = 0; i < 2000; ++i)
+    run.push_back({days(9) + i * 60, cell(static_cast<std::uint32_t>(i / 50))});
+  const std::span<const algorithms::CellObservation> suffix =
+      std::span<const algorithms::CellObservation>(run).subspan(1500);
+  const Json j = observations_to_json(suffix);
+  EXPECT_EQ(j.at("t")[0].as_int(), days(9) + 1500 * 60);
+  EXPECT_EQ(cell_from_json(j.at("cells")[0]), cell(30));
+  expect_round_trip(suffix);
+}
+
+TEST(CodecColumns, DecoderRejectsInconsistentColumns) {
+  const ObsRun run = {{0, cell(1)}, {60, cell(2)}};
+  const Json good = observations_to_json(run);
+  const auto replaced = [&](const char* column, Json value) {
+    Json j = good;
+    j.set(column, std::move(value));
+    return j;
+  };
+  EXPECT_THROW(observations_from_json(replaced("c", Json::Array{0})),
+               JsonError);
+  EXPECT_THROW(observations_from_json(replaced("c", Json::Array{0, 2})),
+               JsonError);
+  EXPECT_THROW(observations_from_json(replaced("c", Json::Array{0, -1})),
+               JsonError);
+  EXPECT_THROW(observations_from_json(replaced("cells", Json::object())),
+               JsonError);
+  EXPECT_THROW(observations_from_json(replaced(
+                   "t", Json::Array{Json(0x1p62), Json(0x1p62)})),
+               JsonError);  // 2^63 overflows SimTime
+  Json::Object missing = good.as_object();
+  missing.erase("t");
+  EXPECT_THROW(observations_from_json(Json(std::move(missing))), JsonError);
+}
+
+TEST(CodecColumns, DayOfObservationsIsCompact) {
+  // One participant-day: 1440 minute samples that dwell, oscillate and
+  // move over 30 cells.
+  std::vector<CellId> cells;
+  for (std::uint16_t k = 0; k < 30; ++k)
+    cells.push_back(CellId{404, 10, static_cast<std::uint16_t>(31000 + k),
+                           40000u + 37u * k,
+                           k % 3 == 0 ? world::Radio::Umts3G
+                                      : world::Radio::Gsm2G});
+  ObsRun day;
+  for (int i = 0; i < 1440; ++i)
+    day.push_back({days(3) + i * 60,
+                   cells[static_cast<std::size_t>((i / 48 + i % 2) % 30)]});
+  const std::size_t columnar = observations_to_json(day).dump().size();
+  EXPECT_LE(columnar, 12u * day.size());
+  // The one-object-per-observation shape it replaced, for scale (~75/obs).
+  Json rows = Json::array();
+  for (const auto& obs : day) rows.push_back(to_json(obs));
+  EXPECT_GT(rows.dump().size(), 5 * columnar);
+  expect_round_trip(day);
 }
 
 TEST(Codec, GranularityNames) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pmware {
 namespace {
 
@@ -154,6 +156,22 @@ TEST(Json, IntegerPrecision) {
   const std::int64_t uid = 9007199254740;  // < 2^53
   Json j(uid);
   EXPECT_EQ(Json::parse(j.dump()).as_int(), uid);
+}
+
+TEST(Json, AsIntRejectsNumbersOutsideInt64) {
+  // llround is unspecified outside int64, so these must throw rather than
+  // hand back an arbitrary length or index.
+  EXPECT_THROW(Json(1e300).as_int(), JsonError);
+  EXPECT_THROW(Json(-1e300).as_int(), JsonError);
+  EXPECT_THROW(Json(0x1p63).as_int(), JsonError);
+  EXPECT_THROW(Json(std::numeric_limits<double>::infinity()).as_int(),
+               JsonError);
+  EXPECT_THROW(Json(std::numeric_limits<double>::quiet_NaN()).as_int(),
+               JsonError);
+  EXPECT_THROW(Json::parse(R"({"n":1e300})").get_int("n", 0), JsonError);
+  EXPECT_EQ(Json(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Json(0x1p62).as_int(), std::int64_t{1} << 62);
+  EXPECT_EQ(Json(2.5).as_int(), 3);  // in range: still rounds
 }
 
 TEST(Json, EmptyContainers) {

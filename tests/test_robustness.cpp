@@ -2,11 +2,16 @@
 // gracefully, not collapse, as the environment gets hostile.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "algorithms/evaluate.hpp"
 #include "cache/digest.hpp"
 #include "cloud/cloud_instance.hpp"
+#include "core/codec.hpp"
 #include "core/pms.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
@@ -210,60 +215,113 @@ TEST(Robustness, DeeplyNestedJsonThrowsJsonError) {
   EXPECT_THROW(Json::parse(objects), JsonError);
 }
 
-TEST(Robustness, DeeplyNestedCheckpointSectionFallsBackToColdRestart) {
-  Rng world_rng(1);
-  auto world = world::generate_world(world::WorldConfig{}, world_rng);
-  Rng prng(2);
-  auto participants = mobility::make_participants(*world, 1, prng);
-  Rng trng(5);
-  mobility::ScheduleConfig sc;
-  sc.days = 1;
-  const mobility::Trace trace =
-      mobility::build_trace(*world, participants[0], sc, trng);
-  cloud::CloudInstance cloud(cloud::CloudConfig{},
-                             cloud::GeoLocationService(world->cell_location_db()),
-                             Rng(3));
-  const auto boot = [&](std::uint64_t salt) {
+/// One registered PMS after a simulated day against an in-process cloud,
+/// and the checkpoint it saved. `boot` makes a fresh service for the same
+/// participant; `sealed` re-seals the checkpoint body under a fresh
+/// manifest with the scalars line replaced, so it passes the length and
+/// digest checks and only the section contents can reject it.
+class CheckpointRig {
+ public:
+  CheckpointRig() {
+    const auto pms = boot(7);
+    EXPECT_TRUE(pms->register_with_cloud(0));
+    pms->run(TimeWindow{0, days(1)});
+    std::ostringstream saved;
+    pms->save(saved);
+    std::istringstream in(saved.str());
+    for (std::string line; std::getline(in, line);) lines_.push_back(line);
+  }
+
+  std::unique_ptr<core::PmwareMobileService> boot(std::uint64_t salt) {
     auto device = std::make_unique<sensing::Device>(
-        world, sensing::oracle_from_trace(trace), sensing::DeviceConfig{},
+        world_, sensing::oracle_from_trace(trace_), sensing::DeviceConfig{},
         Rng(salt));
     auto client = std::make_unique<net::RestClient>(
-        &cloud.router(), net::NetworkConditions{0.0, 1}, Rng(salt + 1));
+        &cloud_.router(), net::NetworkConditions{0.0, 1}, Rng(salt + 1));
     return std::make_unique<core::PmwareMobileService>(
         std::move(device), core::PmsConfig{}, std::move(client),
         Rng(salt + 2));
-  };
-  const auto pms = boot(7);
-  ASSERT_TRUE(pms->register_with_cloud(0));
-  pms->run(TimeWindow{0, days(1)});
-  std::ostringstream saved;
-  pms->save(saved);
+  }
 
-  // Re-seals a checkpoint body under a fresh manifest, so it passes the
-  // length and digest checks and only the section parse can reject it.
-  std::vector<std::string> lines;
-  std::istringstream in(saved.str());
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  const auto sealed = [&](const std::string& scalars) {
+  /// The saved scalars line.
+  Json scalars() const {
+    for (std::size_t i = 1; i < lines_.size(); ++i)
+      if (is_scalars_header(lines_[i - 1])) return Json::parse(lines_[i]);
+    ADD_FAILURE() << "checkpoint has no scalars section";
+    return Json::object();
+  }
+
+  /// The checkpoint with its scalars line replaced by `scalars` (kept when
+  /// empty), re-sealed.
+  std::string sealed(const std::string& scalars) const {
     std::string body;
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      const bool payload =
-          lines[i - 1].find("\"section\":\"scalars\"") != std::string::npos;
-      body += (payload && !scalars.empty() ? scalars : lines[i]) + "\n";
+    for (std::size_t i = 1; i < lines_.size(); ++i) {
+      const bool payload = is_scalars_header(lines_[i - 1]);
+      body += (payload && !scalars.empty() ? scalars : lines_[i]) + "\n";
     }
-    Json manifest = Json::parse(lines.at(0));
+    Json manifest = Json::parse(lines_.at(0));
     manifest.set("digest", strfmt("%016llx", static_cast<unsigned long long>(
                                                  cache::fnv1a(body))));
     return manifest.dump() + "\n" + body;
-  };
-  std::istringstream resealed(sealed(""));
-  EXPECT_TRUE(boot(17)->restore(resealed));
+  }
 
-  std::istringstream deep(sealed(std::string(1000000, '[') +
-                                 std::string(1000000, ']')));
-  const auto reboot = boot(27);
+ private:
+  static bool is_scalars_header(const std::string& line) {
+    return line.find("\"section\":\"scalars\"") != std::string::npos;
+  }
+
+  static std::shared_ptr<const world::World> make_world() {
+    Rng world_rng(1);
+    return world::generate_world(world::WorldConfig{}, world_rng);
+  }
+
+  static mobility::Trace make_trace(const world::World& world) {
+    Rng prng(2);
+    auto participants = mobility::make_participants(world, 1, prng);
+    Rng trng(5);
+    mobility::ScheduleConfig sc;
+    sc.days = 2;
+    return mobility::build_trace(world, participants[0], sc, trng);
+  }
+
+  std::shared_ptr<const world::World> world_ = make_world();
+  mobility::Trace trace_ = make_trace(*world_);
+  cloud::CloudInstance cloud_{
+      cloud::CloudConfig{},
+      cloud::GeoLocationService(world_->cell_location_db()), Rng(3)};
+  std::vector<std::string> lines_;
+};
+
+TEST(Robustness, DeeplyNestedCheckpointSectionFallsBackToColdRestart) {
+  CheckpointRig rig;
+  std::istringstream resealed(rig.sealed(""));
+  EXPECT_TRUE(rig.boot(17)->restore(resealed));
+
+  std::istringstream deep(rig.sealed(std::string(1000000, '[') +
+                                     std::string(1000000, ']')));
+  const auto reboot = rig.boot(27);
   EXPECT_FALSE(reboot->restore(deep));
   EXPECT_TRUE(reboot->cold_restart(days(1)));
+}
+
+// A checkpoint can claim more of the GSM log acknowledged by the cloud than
+// the log holds. The next offload must not slice past the log's end: it
+// starts the suffix bookkeeping over and still offloads.
+TEST(Robustness, CorruptUploadAckedCheckpointStillOffloads) {
+  CheckpointRig rig;
+  Json scalars = rig.scalars();
+  ASSERT_TRUE(scalars.contains("upload_acked"));
+  scalars.set("upload_acked", static_cast<std::int64_t>(1) << 40);
+  std::istringstream corrupt(rig.sealed(scalars.dump()));
+  const auto pms = rig.boot(37);
+  ASSERT_TRUE(pms->restore(corrupt));
+  const auto offloads = [] {
+    return telemetry::registry().family_total("pms_gca_offloads_total");
+  };
+  const auto before = offloads();
+  ASSERT_TRUE(pms->register_with_cloud(days(1)));
+  pms->run(TimeWindow{days(1), days(2)});
+  EXPECT_GT(offloads(), before);
 }
 
 // Wire bodies are untrusted input too: a body missing a required field
@@ -318,6 +376,131 @@ TEST(Robustness, MalformedWireBodiesAreBadRequests) {
   EXPECT_EQ(bad_requests("/api/places/discover"), before_discover + 1);
   EXPECT_EQ(bad_requests("/api/users/:id/routes"), before_routes + 1);
   EXPECT_EQ(bad_requests("/api/users/:id/contacts"), before_contacts + 1);
+}
+
+// The discover decoder reads untrusted columns. Every malformed body must
+// answer 400 and be counted, and none may be half-applied: the retained
+// stream and its digest stay exactly as they were, on the suffix path and
+// on the full-replacement path alike, and a valid suffix still applies.
+TEST(Robustness, MalformedDiscoverBodiesAreRejectedWhole) {
+  cloud::CloudInstance cloud(cloud::CloudConfig{},
+                             cloud::GeoLocationService({}), Rng(1));
+  net::HttpRequest reg;
+  reg.method = net::Method::Post;
+  reg.path = "/api/register";
+  reg.body = Json::object();
+  reg.body.set("imei", "222");
+  reg.body.set("email", "d@e.f");
+  const net::HttpResponse registered = cloud.router().handle(reg);
+  ASSERT_EQ(registered.status, net::kStatusCreated);
+  const auto user =
+      static_cast<world::DeviceId>(registered.body.at("user").as_int());
+  const std::string token = registered.body.at("token").as_string();
+  const auto discover = [&](Json body) {
+    net::HttpRequest req;
+    req.method = net::Method::Post;
+    req.path = "/api/places/discover";
+    req.headers["Authorization"] = "Bearer " + token;
+    req.body = std::move(body);
+    return cloud.router().handle(req);
+  };
+  const auto bad_requests = [] {
+    return telemetry::registry().counter_value(
+        "cloud_requests_total", {{"method", "POST"},
+                                 {"route", "/api/places/discover"},
+                                 {"status", "400"}});
+  };
+
+  std::vector<algorithms::CellObservation> stream;
+  for (int i = 0; i < 240; ++i)
+    stream.push_back({i * 60, world::CellId{404, 10, 7,
+                                            static_cast<std::uint32_t>(
+                                                100 + (i / 20) % 4),
+                                            world::Radio::Gsm2G}});
+  const std::span<const algorithms::CellObservation> all(stream);
+  const auto prefix = all.first(120);
+  const auto suffix = all.subspan(120);
+  const auto with_prefix = [&](Json observations) {
+    Json body = Json::object();
+    body.set("observations", std::move(observations));
+    body.set("prefix_len", static_cast<std::int64_t>(prefix.size()));
+    body.set("prefix_digest",
+             core::digest_to_hex(core::movement_digest(prefix)));
+    return body;
+  };
+  Json first = Json::object();
+  first.set("observations", core::observations_to_json(prefix));
+  ASSERT_EQ(discover(std::move(first)).status, net::kStatusOk);
+  const auto retained = [&] {
+    const auto locked = cloud.storage().locked_user(user);
+    return std::make_pair(locked->gca_log.size(), locked->gca_log_digest);
+  };
+  const auto before = retained();
+  ASSERT_EQ(before,
+            std::make_pair(prefix.size(), core::movement_digest(prefix)));
+
+  // Each case rewrites one part of the valid suffix's columns.
+  const Json good = core::observations_to_json(suffix);
+  const auto column = [&](const char* name) {
+    return good.at(name).as_array();
+  };
+  const auto replaced = [&](const char* name, Json value) {
+    Json j = good;
+    j.set(name, std::move(value));
+    return j;
+  };
+  const auto without = [&](const char* name) {
+    Json::Object o = good.as_object();
+    o.erase(name);
+    return Json(std::move(o));
+  };
+  const auto index_set_to = [&](Json value) {
+    Json::Array c = column("c");
+    c[7] = std::move(value);
+    return replaced("c", std::move(c));
+  };
+  const auto cell_field_set_to = [&](const char* field, double value) {
+    Json::Array cells = column("cells");
+    cells[1].set(field, value);
+    return replaced("cells", std::move(cells));
+  };
+  Json::Array short_c = column("c");
+  short_c.pop_back();
+  const std::vector<std::pair<std::string, Json>> cases = {
+      {"t/c length mismatch", replaced("c", std::move(short_c))},
+      {"index past cells",
+       index_set_to(static_cast<std::int64_t>(column("cells").size()))},
+      {"negative index", index_set_to(-1)},
+      {"index 1e300", index_set_to(1e300)},
+      {"index as string", index_set_to("0")},
+      {"cells not an array", replaced("cells", Json::object())},
+      {"missing t", without("t")},
+      {"missing c", without("c")},
+      {"missing cells", without("cells")},
+      {"cid past 2^32-1", cell_field_set_to("cid", 0x1p32)},
+      {"lac past 65535", cell_field_set_to("lac", 65536)},
+      {"negative mcc", cell_field_set_to("mcc", -1)},
+  };
+  for (const auto& [name, observations] : cases) {
+    SCOPED_TRACE(name);
+    for (const bool suffix_upload : {true, false}) {
+      Json body = Json::object();
+      if (suffix_upload) {
+        body = with_prefix(observations);
+      } else {
+        body.set("observations", observations);  // full replacement
+      }
+      const auto counted = bad_requests();
+      net::HttpResponse response;
+      ASSERT_NO_THROW(response = discover(std::move(body)));
+      EXPECT_EQ(response.status, net::kStatusBadRequest);
+      EXPECT_EQ(bad_requests(), counted + 1);
+      EXPECT_EQ(retained(), before);
+    }
+  }
+
+  ASSERT_EQ(discover(with_prefix(good)).status, net::kStatusOk);
+  EXPECT_EQ(retained(), std::make_pair(all.size(), core::movement_digest(all)));
 }
 
 }  // namespace
