@@ -14,8 +14,11 @@
 # wave, which holds all 4 participants, and --wave 1, a barrier after
 # every participant) against tests/golden/study_digest.txt, then again
 # under the pinned device-chaos plan (crash/restart injection, privacy
-# wipes, late joins) against tests/golden/study_digest_crash.txt. After them, the
-# benchmark's own self-test guards that perfbench/ still builds and runs.
+# wipes, late joins) against tests/golden/study_digest_crash.txt. A churn
+# gate then requires churn's fault plan to give the same sync failures,
+# outbox enqueues and digest at 1 thread and in three 4-thread runs. After
+# them, the benchmark's own self-test guards that perfbench/ still builds
+# and runs.
 # Usage: ./ci.sh [extra cmake args...]
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -85,6 +88,39 @@ for wave_args in "" "--wave 1"; do
   fi
   echo "crashed-study digest ${actual_digest} matches golden (${wave_name})"
 done
+
+# Churn determinism gate: under churn's fault plan (perfbench/README.md:
+# route 5xx plus crash, wipe and join), which requests fail is a pure
+# function of each request, never of the order the worker threads happened
+# to register users in (that order assigns user ids). So 1 thread and each
+# of three 4-thread runs must agree on the sync failure count, the outbox
+# enqueue count and the content digest. Sized at 16 x 4 days (~1 s in
+# all): when a profile PUT body carried its user id, a 4-thread run of
+# this shape matched the 1-thread counts in only 2 of 8 tries.
+echo "=== churn sync determinism (1 vs 4 threads) ==="
+churn_plan="route=/api/users,error=0.2,from=1d,to=5d;crash=1d..6d,crash_rate=0.3,restart_delay=2h;wipe=3d..4d,wipe_rate=0.2;join=0d..2d,join_rate=0.3"
+churn_outcome() {
+  ./build/examples/studyctl --participants 16 --days 4 --threads "$1" \
+      --fault-plan "${churn_plan}" 2>/dev/null |
+    grep -E '^ *sync failures:|^ *outbox enqueued:|^cloud content digest:' |
+    sed -e 's/^ *//' -e 's/ *(.*//'
+}
+churn_1="$(churn_outcome 1)"
+if [[ "$(wc -l <<<"${churn_1}")" -ne 3 ]]; then
+  echo "churn study printed no sync outcome:" >&2; echo "${churn_1}" >&2
+  exit 1
+fi
+for run in 1 2 3; do
+  churn_4="$(churn_outcome 4)"
+  if [[ "${churn_1}" != "${churn_4}" ]]; then
+    echo "churn sync outcome differs between 1 and 4 threads (run ${run}):" >&2
+    echo "--- 1 thread:" >&2; echo "${churn_1}" >&2
+    echo "--- 4 threads:" >&2; echo "${churn_4}" >&2
+    exit 1
+  fi
+done
+echo "churn sync outcome identical at 1 thread and 3 x 4 threads:"
+sed 's/^/  /' <<<"${churn_1}"
 
 # Benchmark build guard: perfbench/ compiles ../src with its own CMake
 # (into .bench_build), so an src/ API change can break the benchmark

@@ -344,9 +344,8 @@ ActivitySummary activity_from_json(const Json& j) {
   return activity;
 }
 
-Json to_json(const MobilityProfile& profile) {
+Json profile_upload_to_json(const MobilityProfile& profile) {
   Json j = Json::object();
-  j.set("user", static_cast<std::uint64_t>(profile.user));
   j.set("day", profile.day);
 
   Json places = Json::array();
@@ -377,9 +376,15 @@ Json to_json(const MobilityProfile& profile) {
   return j;
 }
 
+Json to_json(const MobilityProfile& profile) {
+  Json j = profile_upload_to_json(profile);
+  j.set("user", static_cast<std::uint64_t>(profile.user));
+  return j;
+}
+
 MobilityProfile profile_from_json(const Json& j) {
   MobilityProfile profile;
-  profile.user = static_cast<world::DeviceId>(j.at("user").as_int());
+  profile.user = static_cast<world::DeviceId>(j.get_int("user", 0));
   profile.day = j.at("day").as_int();
   for (const auto& e : j.at("places").as_array()) {
     profile.places.push_back({static_cast<PlaceUid>(e.at("place").as_int()),

@@ -32,14 +32,17 @@ algorithms::PlaceSignature signature_from_json(const Json& j);
 Json to_json(const PlaceRecord& record);
 PlaceRecord place_record_from_json(const Json& j);
 
-/// {t, cell}: one GSM observation (gsm_log lines, route upload cells).
+/// {t, cell}: one GSM observation, as a route upload carries its cells
+/// (route upload bodies and route_store lines only; a run of observations,
+/// as in the discover body or the checkpoint gsm_log, goes in columns).
 Json to_json(const algorithms::CellObservation& obs);
 algorithms::CellObservation observation_from_json(const Json& j);
 
 /// {t[], cells[], c[]}: a run of GSM observations in columns — the GCA
-/// offload body's "observations" field. `t` holds the times delta-coded
-/// (the first delta taken from 0), `cells` the run's distinct cells in
-/// first-appearance order, and `c` one index into `cells` per observation.
+/// offload body's "observations" field and each checkpoint gsm_log line.
+/// `t` holds the times delta-coded (the first delta taken from 0), `cells`
+/// the run's distinct cells in first-appearance order, and `c` one index
+/// into `cells` per observation.
 /// Cells are deduplicated on the full CellId, never on the lossy key().
 /// Decoding throws JsonError on a missing column, a `t`/`c` length
 /// mismatch, an index outside `cells`, or a time that overflows SimTime.
@@ -71,7 +74,14 @@ EncounterEntry encounter_from_json(const Json& j);
 Json to_json(const ActivitySummary& activity);
 ActivitySummary activity_from_json(const Json& j);
 
+/// {user, day, places[], routes[], encounters[], activity?}: a mobility
+/// profile (profile GET responses, checkpoint profile lines).
 Json to_json(const MobilityProfile& profile);
+/// The profile PUT body: the same without `user`, which the request path
+/// names. A request body must not carry a registration-order user id: the
+/// cloud's fault roll hashes body bytes (net::fault_roll).
+Json profile_upload_to_json(const MobilityProfile& profile);
+/// `user` is optional (an upload body has none) and defaults to 0.
 MobilityProfile profile_from_json(const Json& j);
 
 /// A 64-bit digest as 16 lower-case hex digits, and back (the prefix claim

@@ -47,13 +47,15 @@ void read_jsonl(std::istream& in,
 
 void write_gsm_log(std::ostream& out,
                    std::span<const algorithms::CellObservation> log) {
-  write_jsonl(out, log, [](const auto& obs) { return to_json(obs); });
+  if (log.empty()) return;
+  out << observations_to_json(log).dump() << '\n';
 }
 
 std::vector<algorithms::CellObservation> read_gsm_log(std::istream& in) {
   std::vector<algorithms::CellObservation> log;
   read_jsonl(in, [&log](const Json& j) {
-    log.push_back(observation_from_json(j));
+    const auto run = observations_from_json(j);
+    log.insert(log.end(), run.begin(), run.end());
   });
   return log;
 }

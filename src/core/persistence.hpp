@@ -3,7 +3,10 @@
 //
 // A real deployment must survive process restarts and ship logs for offline
 // analysis; this is the serialization layer for that (one JSON document per
-// line, append-friendly, stream-based so it is storage-agnostic).
+// line, append-friendly, stream-based so it is storage-agnostic). Visits,
+// places and profiles take one line per record; the GSM log takes one
+// columnar line per write (see write_gsm_log), since it grows by ~1,400
+// observations per day and is rewritten at every checkpoint.
 #pragma once
 
 #include <functional>
@@ -31,6 +34,11 @@ void read_jsonl(std::istream& in,
                 const std::function<void(const Json&)>& decode);
 
 // --- GSM observation log (the GCA input that gets offloaded) ---
+/// Writes `log` as ONE line, the columnar {t[], cells[], c[]} run of
+/// core::observations_to_json (each write has its own cell dictionary and
+/// its own time base), and nothing for an empty log. Appended writes
+/// concatenate: read_gsm_log returns every complete write's observations in
+/// order, and a torn final write heals to the writes before it.
 void write_gsm_log(std::ostream& out,
                    std::span<const algorithms::CellObservation> log);
 std::vector<algorithms::CellObservation> read_gsm_log(std::istream& in);

@@ -58,11 +58,13 @@ constexpr const char* kGcaCacheName = "pms_gca";
 // --- Checkpoint wire format (Pms::save/restore) ---
 // A manifest line {"format","version","lines","digest"} followed by `lines`
 // JSONL lines of sectioned body: each section is a {"section","lines"} header
-// followed by that many payload lines, one codec-encoded value each. The
-// digest is fnv1a over the body bytes, so restore() detects a torn or
-// bit-flipped checkpoint before committing anything.
+// followed by that many payload lines, one codec-encoded value each (the
+// gsm_log section: one columnar line for the whole log). The digest is
+// fnv1a over the body bytes, so restore() detects a torn or bit-flipped
+// checkpoint before committing anything. Version 2 has the columnar gsm_log;
+// a version-1 checkpoint is refused at the manifest (a cold restart).
 constexpr const char* kCheckpointFormat = "pms-checkpoint";
-constexpr std::int64_t kCheckpointVersion = 1;
+constexpr std::int64_t kCheckpointVersion = 2;
 
 /// The engine's encounter event in the model's (wire and checkpoint) shape.
 EncounterEntry entry_of(const EncounterEvent& event) {
@@ -445,7 +447,7 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       net::HttpRequest request = entry_request(
           net::Method::Put, strfmt("/api/users/%u/profiles/%lld", *user_id_,
                                    static_cast<long long>(day)));
-      request.body = to_json(profile);
+      request.body = profile_upload_to_json(profile);
       const DeliverOutcome outcome = verdict(client_->send(std::move(request)));
       if (outcome == DeliverOutcome::Gone &&
           static_cast<std::size_t>(day) < day_digest_cache_.size()) {

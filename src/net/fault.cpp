@@ -27,7 +27,9 @@ std::uint64_t fnv1a(const std::string& s) {
 /// user ids are registration-order-assigned, so they must not participate),
 /// the body bytes (distinguish same-route requests within one frozen
 /// housekeeping tick), the client's attempt counter (so retries re-roll),
-/// and the rule index (so overlapping rules roll independently).
+/// and the rule index (so overlapping rules roll independently). So a
+/// request body must not carry registration-order ids either: the user
+/// belongs in the path, which gpath generalizes.
 double fault_roll(std::uint64_t seed, const HttpRequest& request,
                   const std::string& gpath, std::size_t rule_index) {
   std::uint64_t h = seed;

@@ -126,6 +126,25 @@ TEST(Codec, MobilityProfileRoundTrip) {
   EXPECT_EQ(decoded.encounters[0].place, 10u);
 }
 
+TEST(Codec, ProfileUploadBodyLeavesTheUserToThePath) {
+  MobilityProfile profile;
+  profile.user = 3;
+  profile.day = 5;
+  profile.places = {{10, hours(8), hours(12)}};
+  const Json body = profile_upload_to_json(profile);
+  // The PUT path names the user; a registration-order id in the body would
+  // feed the cloud's fault roll (which hashes body bytes).
+  EXPECT_FALSE(body.contains("user"));
+  Json full = body;
+  full.set("user", 3);
+  EXPECT_EQ(full, to_json(profile));
+  const MobilityProfile decoded = profile_from_json(body);
+  EXPECT_EQ(decoded.user, 0u);
+  EXPECT_EQ(decoded.day, 5);
+  ASSERT_EQ(decoded.places.size(), 1u);
+  EXPECT_EQ(decoded.places[0].place, 10u);
+}
+
 TEST(Codec, EmptyProfileRoundTrip) {
   MobilityProfile profile;
   profile.user = 1;

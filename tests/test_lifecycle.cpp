@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
+#include "cache/digest.hpp"
 #include "cloud/cloud_instance.hpp"
+#include "core/codec.hpp"
 #include "core/outbox.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
@@ -80,7 +83,16 @@ TEST(Lifecycle, CheckpointRoundTripRestoresState) {
   EXPECT_FALSE(pms2->registered());
   EXPECT_EQ(pms2->boot_epoch(), 0u);
 
-  // Science state round-trips bit-for-bit.
+  // Science state round-trips bit-for-bit, the raw GSM log included.
+  const auto& log1 = pms1->inference().gsm_log();
+  const auto& log2 = pms2->inference().gsm_log();
+  ASSERT_GT(log1.size(), 2u * 1000u);
+  ASSERT_EQ(log2.size(), log1.size());
+  for (std::size_t i = 0; i < log1.size(); ++i) {
+    ASSERT_EQ(log2[i].t, log1[i].t) << "observation " << i;
+    ASSERT_EQ(log2[i].cell, log1[i].cell) << "observation " << i;
+  }
+  EXPECT_EQ(movement_digest(log2), movement_digest(log1));
   ASSERT_EQ(pms2->inference().visit_log().size(),
             pms1->inference().visit_log().size());
   for (std::size_t i = 0; i < pms1->inference().visit_log().size(); ++i) {
@@ -146,6 +158,94 @@ TEST(Lifecycle, AnySingleByteCorruptionIsDetected) {
     std::istringstream in(corrupt);
     EXPECT_FALSE(pms2->restore(in)) << "flip at byte " << pos;
   }
+}
+
+/// Rewrites `checkpoint`'s body lines with `edit` and re-seals it: the
+/// manifest's line count and digest are recomputed, so only the version
+/// check and the section decoders can refuse the result.
+std::string reseal(const std::string& checkpoint,
+                   const std::function<void(Json&, std::vector<std::string>&)>&
+                       edit) {
+  std::istringstream in(checkpoint);
+  std::string line;
+  std::getline(in, line);
+  Json manifest = Json::parse(line);
+  std::vector<std::string> body;
+  while (std::getline(in, line)) body.push_back(line);
+  edit(manifest, body);
+  std::string payload;
+  for (const auto& l : body) payload += l + '\n';
+  manifest.set("lines", static_cast<std::int64_t>(body.size()));
+  manifest.set("digest", digest_to_hex(cache::fnv1a(payload)));
+  return manifest.dump() + '\n' + payload;
+}
+
+/// The index of the gsm_log section's payload line in a checkpoint body.
+std::size_t gsm_log_line(const std::vector<std::string>& body) {
+  for (std::size_t i = 0; i + 1 < body.size(); ++i) {
+    const Json header = Json::parse(body[i]);
+    if (header.get_string("section", "") == "gsm_log") {
+      EXPECT_EQ(header.get_int("lines", -1), 1);
+      return i + 1;
+    }
+  }
+  ADD_FAILURE() << "no gsm_log section";
+  return 0;
+}
+
+TEST(Lifecycle, VersionOneCheckpointIsRefused) {
+  LifecycleHarness h(1);
+  auto pms1 = h.boot();
+  ASSERT_TRUE(pms1->register_with_cloud(0));
+  pms1->run(TimeWindow{0, days(1)});
+  const std::string checkpoint = checkpoint_of(*pms1);
+  // Same sealed body, but an old manifest version: the one-object-per-
+  // observation gsm_log has no reader, so the checkpoint is refused whole.
+  const std::string old_version = reseal(
+      checkpoint, [](Json& manifest, std::vector<std::string>&) {
+        manifest.set("version", 1);
+      });
+  auto pms2 = h.boot(59);
+  std::istringstream in(old_version);
+  EXPECT_FALSE(pms2->restore(in));
+  EXPECT_TRUE(pms2->inference().gsm_log().empty());
+}
+
+TEST(Lifecycle, OutOfRangeGsmCellIndexCommitsNothing) {
+  LifecycleHarness h(2);
+  auto pms1 = h.boot();
+  ASSERT_TRUE(pms1->register_with_cloud(0));
+  pms1->run(TimeWindow{0, days(1)});
+  // A sealed checkpoint (digest valid) whose gsm_log line points one past
+  // its cell table: only the columnar decoder can catch it.
+  const std::string corrupt = reseal(
+      checkpoint_of(*pms1), [](Json&, std::vector<std::string>& body) {
+        const std::size_t at = gsm_log_line(body);
+        Json line = Json::parse(body[at]);
+        Json::Array c = line.at("c").as_array();
+        ASSERT_FALSE(c.empty());
+        c.back() = Json(static_cast<std::uint64_t>(line.at("cells").size()));
+        line.set("c", std::move(c));
+        body[at] = line.dump();
+      });
+  pms1->run(TimeWindow{days(1), days(2)});
+  const std::size_t observations = pms1->inference().gsm_log().size();
+  const std::size_t visits = pms1->inference().visit_log().size();
+
+  std::istringstream in(corrupt);
+  EXPECT_FALSE(pms1->restore(in));
+  // All-or-nothing: the running state survives the rejected restore.
+  EXPECT_EQ(pms1->inference().gsm_log().size(), observations);
+  EXPECT_EQ(pms1->inference().visit_log().size(), visits);
+  EXPECT_TRUE(pms1->registered());
+
+  // The next boot finds no usable checkpoint and cold-restarts.
+  auto pms2 = h.boot(61);
+  std::istringstream again(corrupt);
+  EXPECT_FALSE(pms2->restore(again));
+  EXPECT_TRUE(pms2->inference().gsm_log().empty());
+  ASSERT_TRUE(pms2->cold_restart(days(2)));
+  EXPECT_TRUE(pms2->registered());
 }
 
 TEST(Lifecycle, FailedRestoreLeavesStateUntouched) {
@@ -384,6 +484,51 @@ TEST(Lifecycle, CrashedStudyLosesNoSurvivorRecords) {
   // nothing silently pending at study end.
   EXPECT_EQ(evicted, 0u);
   EXPECT_EQ(enqueued, delivered + dropped);
+}
+
+/// What churn's sync path did in one study: the totals that depend on which
+/// requests the fault plan failed, and the cloud's content digest.
+struct SyncOutcome {
+  std::uint64_t sync_failures = 0;
+  std::uint64_t outbox_enqueued = 0;
+  std::uint64_t digest = 0;
+};
+
+/// A small study under churn's full fault plan (perfbench/README.md):
+/// profile/place/route 5xx from day 1 to day 5, plus crashes, wipes and
+/// late joins.
+SyncOutcome run_churn_study(int threads) {
+  telemetry::registry().reset();
+  telemetry::tracer().reset();
+  study::StudyConfig config;
+  config.participants = 8;
+  config.days = 4;
+  config.threads = threads;
+  config.fault_plan = net::FaultPlan::parse(
+      "route=/api/users,error=0.2,from=1d,to=5d;"
+      "crash=1d..6d,crash_rate=0.3,restart_delay=2h;"
+      "wipe=3d..4d,wipe_rate=0.2;join=0d..2d,join_rate=0.3");
+  const study::StudyResult result = study::DeploymentStudy(config).run();
+  const auto& reg = telemetry::registry();
+  return {reg.family_total("pms_sync_failures_total"),
+          reg.family_total("pms_outbox_enqueued_total"),
+          result.storage_digest};
+}
+
+TEST(Lifecycle, ChurnSyncFailuresAreDeterministicAcrossThreads) {
+  // Which requests a fault rule fails is a pure function of the request,
+  // so it must not depend on the registration order the worker threads
+  // happened to produce (that order assigns the user ids).
+  const SyncOutcome baseline = run_churn_study(1);
+  ASSERT_GT(baseline.sync_failures, 0u);  // the 5xx rule fired
+  ASSERT_NE(baseline.digest, 0u);
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run);
+    const SyncOutcome parallel = run_churn_study(4);
+    EXPECT_EQ(parallel.sync_failures, baseline.sync_failures);
+    EXPECT_EQ(parallel.outbox_enqueued, baseline.outbox_enqueued);
+    EXPECT_EQ(parallel.digest, baseline.digest);
+  }
 }
 
 TEST(Lifecycle, NoFaultStudyDrawsNoLifecycleCounters) {

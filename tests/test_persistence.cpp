@@ -29,8 +29,12 @@ TEST(Persistence, GsmLogRoundTrip) {
 }
 
 TEST(Persistence, GsmLogIsOneJsonPerLine) {
+  // One columnar line per write, however many observations it holds; an
+  // empty write adds no line.
   std::vector<CellObservation> log{{0, cell(1)}, {60, cell(2)}};
   std::stringstream stream;
+  write_gsm_log(stream, log);
+  write_gsm_log(stream, {});
   write_gsm_log(stream, log);
   std::string line;
   int lines = 0;
@@ -39,6 +43,37 @@ TEST(Persistence, GsmLogIsOneJsonPerLine) {
     EXPECT_NO_THROW(Json::parse(line));
   }
   EXPECT_EQ(lines, 2);
+}
+
+TEST(Persistence, GsmLogTornSecondWriteKeepsTheFirst) {
+  const std::vector<CellObservation> first{{0, cell(1)}, {60, cell(2)}};
+  const std::vector<CellObservation> second{{120, cell(3)}, {180, cell(4)}};
+  std::stringstream whole;
+  write_gsm_log(whole, first);
+  const std::size_t first_bytes = whole.str().size();
+  write_gsm_log(whole, second);
+  const std::string bytes = whole.str();
+  // Every cut inside the second line heals to exactly the first write's
+  // observations. (A cut of the newline alone leaves a complete line, which
+  // parses and is kept, as any JSONL reader would.)
+  for (std::size_t cut = first_bytes; cut + 1 < bytes.size(); ++cut) {
+    std::istringstream in(bytes.substr(0, cut));
+    const auto loaded = read_gsm_log(in);
+    ASSERT_EQ(loaded.size(), first.size()) << "cut at byte " << cut;
+    EXPECT_EQ(loaded[1].t, 60) << "cut at byte " << cut;
+    EXPECT_EQ(loaded[1].cell, cell(2)) << "cut at byte " << cut;
+  }
+}
+
+TEST(Persistence, GsmLogDayFitsInTwelveBytesPerObservation) {
+  // A participant-day: one observation a minute over 30 distinct cells.
+  std::vector<CellObservation> day;
+  for (int i = 0; i < 1440; ++i)
+    day.push_back({days(3) + i * 60, cell(4000 + (i / 7) % 30)});
+  std::stringstream stream;
+  write_gsm_log(stream, day);
+  EXPECT_LE(stream.str().size(), 12u * day.size());
+  EXPECT_EQ(read_gsm_log(stream).size(), day.size());
 }
 
 TEST(Persistence, VisitLogRoundTrip) {
@@ -103,7 +138,8 @@ TEST(Persistence, EmptyStreamsYieldEmptyVectors) {
 
 TEST(Persistence, BlankLinesAreSkipped) {
   std::stringstream stream;
-  stream << "\n" << R"({"t": 60, "cell": {"mcc":404,"mnc":10,"lac":1,"cid":9,"radio":"2g"}})"
+  stream << "\n"
+         << R"({"t":[60],"cells":[{"mcc":404,"mnc":10,"lac":1,"cid":9,"radio":"2g"}],"c":[0]})"
          << "\n\n";
   const auto log = read_gsm_log(stream);
   ASSERT_EQ(log.size(), 1u);
@@ -112,7 +148,7 @@ TEST(Persistence, BlankLinesAreSkipped) {
 
 TEST(Persistence, MalformedLineReportsLineNumber) {
   std::stringstream stream;
-  stream << R"({"t": 0, "cell": {"mcc":404,"mnc":10,"lac":1,"cid":9,"radio":"2g"}})"
+  stream << R"({"t":[0],"cells":[{"mcc":404,"mnc":10,"lac":1,"cid":9,"radio":"2g"}],"c":[0]})"
          << "\n"
          << "{not json}\n";
   try {
@@ -130,13 +166,38 @@ TEST(Persistence, MissingFieldReportsLineNumber) {
 }
 
 TEST(Persistence, AppendedLogsConcatenate) {
-  // Append-friendly format: writing twice and reading once yields the union.
+  // Append-friendly format: writing twice and reading once yields the union,
+  // in order. Each write has its own cell dictionary and its own time base:
+  // the second line's first delta is its absolute time, and its table starts
+  // afresh with the cell that write saw first.
+  const std::vector<CellObservation> first{
+      {hours(1), cell(1)}, {hours(1) + 60, cell(2)}, {hours(1) + 120, cell(1)}};
+  const std::vector<CellObservation> second{{hours(5), cell(3)},
+                                            {hours(5) + 60, cell(1)}};
   std::stringstream stream;
-  std::vector<CellObservation> first{{0, cell(1)}};
-  std::vector<CellObservation> second{{60, cell(2)}};
   write_gsm_log(stream, first);
   write_gsm_log(stream, second);
-  EXPECT_EQ(read_gsm_log(stream).size(), 2u);
+
+  std::string line1, line2;
+  std::istringstream lines(stream.str());
+  ASSERT_TRUE(std::getline(lines, line1));
+  ASSERT_TRUE(std::getline(lines, line2));
+  const Json j1 = Json::parse(line1);
+  const Json j2 = Json::parse(line2);
+  EXPECT_EQ(j1.at("cells").size(), 2u);
+  EXPECT_EQ(j2.at("cells").size(), 2u);
+  EXPECT_EQ(j1.at("t")[0].as_int(), hours(1));
+  EXPECT_EQ(j2.at("t")[0].as_int(), hours(5));
+  EXPECT_EQ(j2.at("cells")[0].at("cid").as_int(), 3);
+
+  const auto loaded = read_gsm_log(stream);
+  ASSERT_EQ(loaded.size(), first.size() + second.size());
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    const CellObservation& want =
+        i < first.size() ? first[i] : second[i - first.size()];
+    EXPECT_EQ(loaded[i].t, want.t) << "observation " << i;
+    EXPECT_EQ(loaded[i].cell, want.cell) << "observation " << i;
+  }
 }
 
 // --- Corruption fuzzing over all four JSONL products. The contract under
