@@ -9,6 +9,7 @@
 //   - GSM + opp. WiFi   (the deployed hybrid)
 //   - GPS + Kang        (continuous GPS clustering — accurate but costly)
 #include <cstdio>
+#include <span>
 
 #include "algorithms/evaluate.hpp"
 #include "algorithms/kang.hpp"
@@ -87,9 +88,11 @@ void run_gps_kang(const std::shared_ptr<const world::World>& world,
   energy::EnergyMeter meter;
   sensing::SamplingScheduler scheduler(&meter);
   algorithms::GpsPlaceClusterer clusterer;
-  scheduler.set_callback(energy::Interface::Gps, [&](SimTime t) {
-    clusterer.on_fix(device.read_gps(t));
-  });
+  scheduler.set_batch_callback(
+      energy::Interface::Gps, [&](std::span<const SimTime> run) {
+        for (const SimTime t : run) clusterer.on_fix(device.read_gps(t));
+        return run.size();
+      });
   scheduler.set_period(energy::Interface::Gps, 60);
   scheduler.run(TimeWindow{0, days(kDays)});
   clusterer.finish(days(kDays));

@@ -77,10 +77,7 @@ Row run_always_on(const char* name, std::vector<Interface> interfaces,
                   SimDuration period) {
   energy::EnergyMeter meter;
   sensing::SamplingScheduler scheduler(&meter);
-  for (Interface i : interfaces) {
-    scheduler.set_callback(i, [](SimTime) {});
-    scheduler.set_period(i, period);
-  }
+  for (Interface i : interfaces) scheduler.set_period(i, period);
   scheduler.run(TimeWindow{0, days(kDays)});
   return {name, meter.sensing_j(), meter.total_j(),
           meter.implied_battery_duration_s(days(kDays)) / 3600.0,

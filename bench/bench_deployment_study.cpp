@@ -13,10 +13,6 @@
 #include <cstring>
 
 #include "algorithms/gca.hpp"
-#include "energy/meter.hpp"
-#include "sensing/device.hpp"
-#include "sensing/scheduler.hpp"
-#include "sensing/scheduler_reference.hpp"
 #include "study/deployment.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/log.hpp"
@@ -105,9 +101,7 @@ std::vector<algorithms::CellObservation> synthetic_day(int day) {
 /// lookups, allocating device reads) together with the sampling work it
 /// drove. The batched scheduler attributes consumer time to
 /// scheduler.sampling.* child frames, so its self time is the dispatch
-/// machinery alone — the thing this PR rebuilt. The dispatch microbench
-/// below reports the end-to-end sampling-pipeline speedup separately, so
-/// neither number has to stand in for the other.
+/// machinery alone — the part the batched scheduler rebuilt.
 constexpr double kBaselineSchedulerSelfMsPerDay = 498.84;
 
 /// Wall self-time of every "scheduler.run" span in `spans` (its wall cost
@@ -140,111 +134,6 @@ double histogram_percentile(const Histogram& h, double q) {
     seen += c;
   }
   return h.hi();
-}
-
-/// Keeps `value` observable so the compiler cannot elide the read producing
-/// it (the reads also mutate RNG/reselection state, but belt and braces).
-template <typename T>
-void benchmark_do_not_elide(T&& value) {
-  asm volatile("" : : "g"(&value) : "memory");
-}
-
-/// Head-to-head dispatch microbench over a world-backed device: the retired
-/// heap scheduler driving per-sample allocating reads (the pre-batching hot
-/// path, bit-for-bit) vs the run-generation scheduler driving cached
-/// zero-alloc run reads. Same world, same dwell-heavy oracle, same cadence.
-struct DispatchBench {
-  int days = 0;
-  double reference_wall_s = 0;
-  double batched_wall_s = 0;
-  std::uint64_t reference_samples = 0;
-  std::uint64_t batched_samples = 0;
-  std::uint64_t env_queries = 0;
-  std::uint64_t env_hits = 0;
-};
-
-DispatchBench run_dispatch_microbench() {
-  DispatchBench out;
-  out.days = 5;
-  Rng world_rng(11);
-  world::WorldConfig world_config;
-  const auto world = world::generate_world(world_config, world_rng);
-  const geo::LatLng home = world->place(0).center;
-  const geo::LatLng work = world->place(1).center;
-  // Dwell-commute-dwell-commute day: position constant at the anchors
-  // (~95% of samples), changing every sample during the two transits.
-  sensing::PositionOracle oracle;
-  oracle.position = [home, work](SimTime t) {
-    const SimTime m = t % hours(24);
-    const auto lerp = [](const geo::LatLng& a, const geo::LatLng& b, double f) {
-      return geo::LatLng{a.lat + (b.lat - a.lat) * f,
-                         a.lng + (b.lng - a.lng) * f};
-    };
-    if (m < hours(9)) return home;
-    if (m < hours(9) + minutes(30))
-      return lerp(home, work,
-                  static_cast<double>(m - hours(9)) / minutes(30));
-    if (m < hours(18)) return work;
-    if (m < hours(18) + minutes(30))
-      return lerp(work, home,
-                  static_cast<double>(m - hours(18)) / minutes(30));
-    return home;
-  };
-  oracle.activity = [](SimTime) { return mobility::Activity::Still; };
-  oracle.indoors = [](SimTime) { return true; };
-
-  {
-    sensing::DeviceConfig device_config;
-    device_config.reuse_world_env = false;  // honest per-sample spatial query
-    sensing::Device device(world, oracle, device_config, Rng(21));
-    energy::EnergyMeter meter;
-    sensing::ReferenceScheduler sched(&meter);
-    sched.set_callback(energy::Interface::Gsm, [&](SimTime t) {
-      benchmark_do_not_elide(device.read_gsm(t));
-      ++out.reference_samples;
-    });
-    sched.set_callback(energy::Interface::Accelerometer, [&](SimTime t) {
-      benchmark_do_not_elide(device.read_accel(t));
-      ++out.reference_samples;
-    });
-    sched.set_period(energy::Interface::Gsm, 60);
-    sched.set_period(energy::Interface::Accelerometer, 60);
-    const auto begin = std::chrono::steady_clock::now();
-    for (int day = 0; day < out.days; ++day)
-      sched.run(TimeWindow{day * hours(24), (day + 1) * hours(24)});
-    out.reference_wall_s = wall_seconds_since(begin);
-  }
-  {
-    sensing::DeviceConfig device_config;  // reuse_world_env on by default
-    sensing::Device device(world, oracle, device_config, Rng(21));
-    energy::EnergyMeter meter;
-    sensing::SamplingScheduler sched(&meter);
-    sched.set_batch_callback(
-        energy::Interface::Gsm, [&](std::span<const SimTime> run) {
-          return device.read_gsm_run(run, [&](const sensing::GsmReading& r) {
-            benchmark_do_not_elide(r);
-            ++out.batched_samples;
-            return true;
-          });
-        });
-    sched.set_batch_callback(
-        energy::Interface::Accelerometer, [&](std::span<const SimTime> run) {
-          for (const SimTime t : run) {
-            benchmark_do_not_elide(device.read_accel(t));
-            ++out.batched_samples;
-          }
-          return run.size();
-        });
-    sched.set_period(energy::Interface::Gsm, 60);
-    sched.set_period(energy::Interface::Accelerometer, 60);
-    const auto begin = std::chrono::steady_clock::now();
-    for (int day = 0; day < out.days; ++day)
-      sched.run(TimeWindow{day * hours(24), (day + 1) * hours(24)});
-    out.batched_wall_s = wall_seconds_since(begin);
-    out.env_queries = device.env_queries();
-    out.env_hits = device.env_hits();
-  }
-  return out;
 }
 
 }  // namespace
@@ -289,11 +178,6 @@ int main(int argc, char** argv) {
   telemetry::apply_log_level_flag(argc, argv);
   study::StudyConfig config;  // 16 participants x 14 days, GSM + opp. WiFi
   config.cache = cache_for_sweeps;
-
-  // --- Scheduler dispatch microbench, first: it drives its own schedulers
-  // and devices through the global registry/tracer, and the sweeps below
-  // reset both per run, so the study telemetry stays clean.
-  const DispatchBench dispatch = run_dispatch_microbench();
 
   // --- Shard x thread sweep: the same study at every (shards, threads)
   // configuration. Results must be byte-identical everywhere; wall-clock and
@@ -700,8 +584,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(entry.recomputes),
                 static_cast<unsigned long long>(entry.misses));
 
-  // --- Scheduler dispatch report: run-generation batching vs the retired
-  // per-sample heap path, plus the study-level scheduler.run flame
+  // --- Scheduler dispatch report: the study-level scheduler.run flame
   // self-time the ROADMAP's >=10x bar is measured against. The tracer still
   // holds the cache-on study's spans (nothing after it resets the tracer),
   // so the self-time is the real study's, not a synthetic one.
@@ -723,38 +606,7 @@ int main(int argc, char** argv) {
   const double sched_improvement =
       self_ms_per_day > 0 ? kBaselineSchedulerSelfMsPerDay / self_ms_per_day
                           : 0.0;
-  const double reference_rate =
-      dispatch.reference_wall_s > 0
-          ? static_cast<double>(dispatch.reference_samples) /
-                dispatch.reference_wall_s
-          : 0.0;
-  const double batched_rate =
-      dispatch.batched_wall_s > 0
-          ? static_cast<double>(dispatch.batched_samples) /
-                dispatch.batched_wall_s
-          : 0.0;
-  std::printf("\n--- scheduler dispatch (run-generation batching, %d "
-              "simulated days) ---\n",
-              dispatch.days);
-  std::printf("  reference heap + per-sample reads: %8.3f s  (%llu samples, "
-              "%.0f/s)\n",
-              dispatch.reference_wall_s,
-              static_cast<unsigned long long>(dispatch.reference_samples),
-              reference_rate);
-  std::printf("  batched runs + cached world env:   %8.3f s  (%llu samples, "
-              "%.0f/s)  => %.1fx\n",
-              dispatch.batched_wall_s,
-              static_cast<unsigned long long>(dispatch.batched_samples),
-              batched_rate,
-              reference_rate > 0 ? batched_rate / reference_rate : 0.0);
-  std::printf("  world-env cache: %llu of %llu queries answered from cache "
-              "(%.1f%%)\n",
-              static_cast<unsigned long long>(dispatch.env_hits),
-              static_cast<unsigned long long>(dispatch.env_queries),
-              dispatch.env_queries > 0
-                  ? 100.0 * static_cast<double>(dispatch.env_hits) /
-                        static_cast<double>(dispatch.env_queries)
-                  : 0.0);
+  std::printf("\n--- scheduler dispatch (run-generation batching) ---\n");
   std::printf("  study scheduler.run self-time: %.2f ms/participant-day "
               "(pre-batching baseline %.1f, %.0fx)\n",
               self_ms_per_day, kBaselineSchedulerSelfMsPerDay,
@@ -1017,23 +869,10 @@ int main(int argc, char** argv) {
     cache_block.set("runs", std::move(cache_runs));
     cache_block.set("identical_on_off", cache_equivalent);
     extra.set("cache_sweep", std::move(cache_block));
-    // schema_version 6: the "scheduler_sweep" block — the run-generation
-    // dispatch microbench and the before/after scheduler.run flame
-    // self-time behind the batching PR's >=10x claim.
+    // schema_version 6: the "scheduler_sweep" block — the before/after
+    // scheduler.run flame self-time behind the batching change's >=10x
+    // claim (12 dropped its reference-heap dispatch microbench).
     Json sched_block = Json::object();
-    Json sched_micro = Json::object();
-    sched_micro.set("days", dispatch.days);
-    sched_micro.set("reference_wall_s", dispatch.reference_wall_s);
-    sched_micro.set("reference_samples", dispatch.reference_samples);
-    sched_micro.set("reference_samples_per_s", reference_rate);
-    sched_micro.set("batched_wall_s", dispatch.batched_wall_s);
-    sched_micro.set("batched_samples", dispatch.batched_samples);
-    sched_micro.set("batched_samples_per_s", batched_rate);
-    sched_micro.set("speedup",
-                    reference_rate > 0 ? batched_rate / reference_rate : 0.0);
-    sched_micro.set("env_queries", dispatch.env_queries);
-    sched_micro.set("env_hits", dispatch.env_hits);
-    sched_block.set("dispatch_microbench", std::move(sched_micro));
     Json sched_study = Json::object();
     sched_study.set("participants",
                     static_cast<std::uint64_t>(config.participants));

@@ -30,7 +30,6 @@ constexpr SimDuration kIntervals[] = {10, 30, 60, 120, 300, 600};
 double simulated_duration_h(Interface interface, SimDuration interval) {
   energy::EnergyMeter meter;
   sensing::SamplingScheduler scheduler(&meter);
-  scheduler.set_callback(interface, [](SimTime) {});
   scheduler.set_period(interface, interval);
   scheduler.run(TimeWindow{0, days(1)});
   return meter.implied_battery_duration_s(days(1)) / 3600.0;

@@ -1,9 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the middleware:
 // GCA clustering throughput, Tanimoto matching, the JSON wire format, REST
-// routing, the world's spatial queries, and the sensing dispatch loop
-// (batched scheduler vs the retired heap reference, with allocation and
-// registry-lookup instrumentation). These bound the cost of the cloud's
-// offloaded computations and of each on-device sensing tick.
+// routing, the world's spatial queries, and the sensing dispatch loop (with
+// allocation and registry-lookup instrumentation). These bound the cost of
+// the cloud's offloaded computations and of each on-device sensing tick.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -22,7 +21,6 @@
 #include "net/router.hpp"
 #include "sensing/device.hpp"
 #include "sensing/scheduler.hpp"
-#include "sensing/scheduler_reference.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/json.hpp"
@@ -161,12 +159,11 @@ void BM_WorldVisibleAps(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldVisibleAps);
 
-// --- Sensing dispatch: batched scheduler vs retired heap reference ---
+// --- Sensing dispatch: the batched scheduler ---
 
 /// One simulated day at the study's default cadence (GSM + accelerometer at
 /// 60 s).
-template <typename Sched>
-void drive_day(Sched& s, SimTime day) {
+void drive_day(sensing::SamplingScheduler& s, SimTime day) {
   const SimTime begin = day * hours(24);
   s.run(TimeWindow{begin, begin + hours(24)});
 }
@@ -229,41 +226,6 @@ void BM_SchedulerDispatchBatched(benchmark::State& state) {
   state.counters["registry_lookups_per_sample"] = benchmark::Counter(0.0);
 }
 BENCHMARK(BM_SchedulerDispatchBatched)->Unit(benchmark::kMillisecond);
-
-void BM_SchedulerDispatchReference(benchmark::State& state) {
-  telemetry::registry().reset();
-  energy::EnergyMeter meter;
-  sensing::ReferenceScheduler s(&meter);
-  std::uint64_t samples = 0;
-  for (std::size_t i = 0; i < energy::kInterfaceCount; ++i) {
-    s.set_callback(static_cast<energy::Interface>(i),
-                   [&samples](SimTime) { ++samples; });
-  }
-  s.set_period(energy::Interface::Gsm, 60);
-  s.set_period(energy::Interface::Accelerometer, 60);
-
-  SimTime day = 0;
-  drive_day(s, day++);  // warmup, for symmetry
-
-  std::uint64_t hot_samples = 0;
-  std::uint64_t hot_allocs = 0;
-  const std::uint64_t lookups_before = telemetry::registry().lookup_count();
-  for (auto _ : state) {
-    const std::uint64_t s0 = samples;
-    const std::uint64_t a0 = g_heap_allocs.load(std::memory_order_relaxed);
-    drive_day(s, day++);
-    hot_samples += samples - s0;
-    hot_allocs += g_heap_allocs.load(std::memory_order_relaxed) - a0;
-  }
-  const std::uint64_t hot_lookups =
-      telemetry::registry().lookup_count() - lookups_before;
-  state.SetItemsProcessed(static_cast<std::int64_t>(hot_samples));
-  state.counters["allocs_per_sample"] = benchmark::Counter(
-      static_cast<double>(hot_allocs) / static_cast<double>(hot_samples));
-  state.counters["registry_lookups_per_sample"] = benchmark::Counter(
-      static_cast<double>(hot_lookups) / static_cast<double>(hot_samples));
-}
-BENCHMARK(BM_SchedulerDispatchReference)->Unit(benchmark::kMillisecond);
 
 // --- Device sampling: position-keyed world-environment cache on vs off ---
 

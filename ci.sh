@@ -16,7 +16,9 @@
 # under the pinned device-chaos plan (crash/restart injection, privacy
 # wipes, late joins) against tests/golden/study_digest_crash.txt. A churn
 # gate then requires churn's fault plan to give the same sync failures,
-# outbox enqueues and digest at 1 thread and in three 4-thread runs. After
+# outbox enqueues and digest at 1 thread and in three 4-thread runs. The
+# stdout of three paper benches (Figure 1 energy, A1 triggered sensing, A2
+# interfaces) must then match tests/golden/bench_*.txt byte for byte. After
 # them, the benchmark's own self-test guards that perfbench/ still builds
 # and runs.
 # Usage: ./ci.sh [extra cmake args...]
@@ -121,6 +123,21 @@ for run in 1 2 3; do
 done
 echo "churn sync outcome identical at 1 thread and 3 x 4 threads:"
 sed 's/^/  /' <<<"${churn_1}"
+
+# Paper-bench golden gate: bench_fig1_energy, bench_ablation_triggered and
+# bench_ablation_interfaces are deterministic and take under a second
+# together, so their whole stdout (energy tables, sample counts, place
+# accuracy per interface) is pinned. A scheduler or energy-meter change that
+# moves a single sample or joule shows up as a diff here.
+echo "=== paper bench outputs vs golden ==="
+for bench in fig1_energy ablation_triggered ablation_interfaces; do
+  golden="tests/golden/bench_${bench}.txt"
+  if ! diff -u "${golden}" <("./build/bench/bench_${bench}" 2>/dev/null); then
+    echo "bench_${bench} stdout differs from ${golden}" >&2
+    exit 1
+  fi
+  echo "bench_${bench} matches ${golden}"
+done
 
 # Benchmark build guard: perfbench/ compiles ../src with its own CMake
 # (into .bench_build), so an src/ API change can break the benchmark

@@ -85,7 +85,7 @@ int main() {
   net::HttpRequest request;
   request.method = net::Method::Get;
   request.path = "/api/users/1/routes";
-  request.headers["X-Sim-Time"] = std::to_string(days(schedule.days));
+  request.headers[net::kSimTimeHeader] = std::to_string(days(schedule.days));
   request.headers["Authorization"] =
       "Bearer " + pms.client()->auth_token();
   const net::HttpResponse response = cloud.router().handle(request);

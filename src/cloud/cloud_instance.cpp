@@ -1,8 +1,10 @@
 #include "cloud/cloud_instance.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <system_error>
 
 #include "algorithms/gca.hpp"
 #include "core/codec.hpp"
@@ -27,6 +29,21 @@ std::uint64_t request_session(const HttpRequest& request) {
   const auto it = request.headers.find(net::kSessionHeader);
   if (it == request.headers.end()) return 0;
   return std::strtoull(it->second.c_str(), nullptr, 10);
+}
+
+/// Path parameter `key` as a T. The whole segment must be a decimal number
+/// within T's range, so the cell fields get cell_from_json's ranges (same
+/// types). Throws JsonError, which the router answers with 400; handlers
+/// parse their path before touching storage.
+template <typename T>
+T path_int(const PathParams& params, const char* key) {
+  const std::string& text = params.at(key);
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end)
+    throw JsonError(std::string("bad path parameter ") + key + ": " + text);
+  return value;
 }
 
 }  // namespace
@@ -67,7 +84,7 @@ CloudInstance::CloudInstance(CloudConfig config, GeoLocationService geoloc,
     }
   });
   // Scripted server-side chaos (outages, error rates, latency): evaluated
-  // by the router before guards and handlers, so injected failures never
+  // by the router before any handler runs, so injected failures never
   // mutate state. The plan's decisions are deterministic per request
   // (net/fault.hpp), keeping faulted studies reproducible across thread
   // and shard counts.
@@ -90,10 +107,6 @@ CloudInstance::CloudInstance(CloudConfig config, GeoLocationService geoloc,
   }
 }
 
-SimTime CloudInstance::request_time(const HttpRequest& request) {
-  return request.sim_time();
-}
-
 std::optional<world::DeviceId> CloudInstance::authed_user(
     const HttpRequest& request) const {
   const auto it = request.headers.find("Authorization");
@@ -101,7 +114,7 @@ std::optional<world::DeviceId> CloudInstance::authed_user(
   const std::string& value = it->second;
   constexpr const char* kPrefix = "Bearer ";
   if (value.rfind(kPrefix, 0) != 0) return std::nullopt;
-  return tokens_.validate(value.substr(7), request_time(request));
+  return tokens_.validate(value.substr(7), request.sim_time());
 }
 
 std::optional<HttpResponse> CloudInstance::require_user(
@@ -110,9 +123,8 @@ std::optional<HttpResponse> CloudInstance::require_user(
   const auto user = authed_user(request);
   if (!user)
     return HttpResponse::error(net::kStatusUnauthorized, "invalid token");
-  const auto it = params.find("id");
-  if (it != params.end() &&
-      static_cast<world::DeviceId>(std::atoll(it->second.c_str())) != *user)
+  if (params.count("id") != 0 &&
+      path_int<world::DeviceId>(params, "id") != *user)
     return HttpResponse::error(net::kStatusUnauthorized,
                                "token does not match user");
   user_out = *user;
@@ -185,7 +197,7 @@ void CloudInstance::register_routes() {
              std::chrono::duration_cast<std::chrono::duration<double>>(
                  std::chrono::steady_clock::now() - started_)
                  .count());
-    body.set("sim_time", request_time(req));
+    body.set("sim_time", req.sim_time());
     body.set("routes", static_cast<std::uint64_t>(router_.route_count()));
 
     const CloudStorage::Stats stats = storage_.stats();
@@ -275,7 +287,7 @@ void CloudInstance::register_routes() {
       return HttpResponse::error(net::kStatusBadRequest,
                                  "imei and email required");
     const TokenGrant grant =
-        tokens_.register_device(imei, email, request_time(req));
+        tokens_.register_device(imei, email, req.sim_time());
     Json body = Json::object();
     body.set("user", static_cast<std::uint64_t>(grant.user));
     body.set("token", grant.token);
@@ -293,7 +305,7 @@ void CloudInstance::register_routes() {
     const auto it = req.headers.find("Authorization");
     if (it == req.headers.end() || it->second.rfind("Bearer ", 0) != 0)
       return HttpResponse::error(net::kStatusUnauthorized, "no token");
-    const auto grant = tokens_.refresh(it->second.substr(7), request_time(req));
+    const auto grant = tokens_.refresh(it->second.substr(7), req.sim_time());
     if (!grant)
       return HttpResponse::error(net::kStatusUnauthorized, "token expired");
     Json body = Json::object();
@@ -375,8 +387,7 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
     core::PlaceRecord record = core::place_record_from_json(req.body);
-    record.uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    record.uid = path_int<core::PlaceUid>(params, "uid");
     // Resolve an approximate position server-side when the client has none.
     if (!record.location)
       record.location = geoloc_.locate_signature(record.signature);
@@ -394,8 +405,7 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = path_int<core::PlaceUid>(params, "uid");
     {
       const auto locked = storage_.locked_user(user);
       auto& places = locked->places;
@@ -414,7 +424,7 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
     core::MobilityProfile profile = core::profile_from_json(req.body);
-    const std::int64_t day = std::atoll(params.at("day").c_str());
+    const std::int64_t day = path_int<std::int64_t>(params, "day");
     profile.day = day;
     profile.user = user;
     storage_.locked_user(user)->profiles[day] = std::move(profile);
@@ -425,7 +435,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const std::int64_t day = std::atoll(params.at("day").c_str());
+    const std::int64_t day = path_int<std::int64_t>(params, "day");
     const auto locked = storage_.locked_user(user);
     const auto& profiles = locked->profiles;
     const auto it = profiles.find(day);
@@ -570,8 +580,7 @@ void CloudInstance::register_routes() {
     // Gated too: after a wipe + re-registration, place uids can be reused,
     // so a replayed delete from the wiped incarnation could hit new data.
     if (auto err = require_writable(req, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = path_int<core::PlaceUid>(params, "uid");
     if (!storage_.erase_place(user, uid))
       return HttpResponse::error(net::kStatusNotFound, "unknown place");
     return HttpResponse::json(Json::object());
@@ -582,7 +591,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const std::int64_t day = std::atoll(params.at("day").c_str());
+    const std::int64_t day = path_int<std::int64_t>(params, "day");
     const auto locked = storage_.locked_user(user);
     const auto& profiles = locked->profiles;
     const auto it = profiles.find(day);
@@ -597,10 +606,10 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     world::CellId cell;
-    cell.mcc = static_cast<std::uint16_t>(std::atoi(params.at("mcc").c_str()));
-    cell.mnc = static_cast<std::uint16_t>(std::atoi(params.at("mnc").c_str()));
-    cell.lac = static_cast<std::uint16_t>(std::atoi(params.at("lac").c_str()));
-    cell.cid = static_cast<std::uint32_t>(std::atoll(params.at("cid").c_str()));
+    cell.mcc = path_int<std::uint16_t>(params, "mcc");
+    cell.mnc = path_int<std::uint16_t>(params, "mnc");
+    cell.lac = path_int<std::uint16_t>(params, "lac");
+    cell.cid = path_int<std::uint32_t>(params, "cid");
     const auto radio_it = req.query.find("radio");
     cell.radio = (radio_it != req.query.end() && radio_it->second == "3g")
                      ? world::Radio::Umts3G
@@ -615,8 +624,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = path_int<core::PlaceUid>(params, "uid");
     const auto tod = analytics_.typical_arrival_tod(user, uid);
     if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
     Json body = Json::object();
@@ -628,9 +636,8 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
-    const auto t = analytics_.predict_next_visit(user, uid, request_time(req));
+    const auto uid = path_int<core::PlaceUid>(params, "uid");
+    const auto t = analytics_.predict_next_visit(user, uid, req.sim_time());
     if (!t) return HttpResponse::error(net::kStatusNotFound, "no prediction");
     Json body = Json::object();
     body.set("predicted_at", *t);
@@ -641,8 +648,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = path_int<core::PlaceUid>(params, "uid");
     const auto tod = analytics_.typical_departure_tod(user, uid);
     if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
     Json body = Json::object();
@@ -654,8 +660,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = path_int<core::PlaceUid>(params, "uid");
     const auto next = analytics_.predict_next_place(user, uid);
     if (!next) return HttpResponse::error(net::kStatusNotFound, "no history");
     Json body = Json::object();

@@ -2,9 +2,12 @@
 // registration, place/route discovery offloading, mobility-profile sync,
 // social contacts, geo-location, and analytics.
 //
-// Requests carry the simulation clock in an "X-Sim-Time" header (the
-// in-process stand-in for wall-clock), and a bearer token in
-// "Authorization" for everything except registration.
+// Requests carry the simulation clock in the net::kSimTimeHeader header
+// (the in-process stand-in for wall-clock; read with
+// HttpRequest::sim_time()), and a bearer token in "Authorization" for
+// everything except registration. Integer path parameters (":id", ":uid",
+// ":day", the geo cell fields) must be whole decimal numbers in their
+// type's range; anything else answers 400.
 //
 // Dispatch is concurrent: the router takes no lock, per-user handlers lock
 // only the owning storage shard, and cross-user routes (/healthz, /metrics,
@@ -61,21 +64,15 @@ class CloudInstance {
   const AnalyticsEngine& analytics() const { return analytics_; }
   const GeoLocationService& geolocation() const { return geoloc_; }
 
-  /// Header names of the simulated transport (canonical names live with the
-  /// HTTP model in net/http.hpp; this alias keeps existing callers working).
-  static constexpr const char* kSimTimeHeader = net::kSimTimeHeader;
-
  private:
   void register_routes();
-
-  /// Current simulated time as reported by the caller (0 if absent).
-  static SimTime request_time(const net::HttpRequest& request);
 
   /// Validates the bearer token; returns the authenticated user or nullopt.
   std::optional<world::DeviceId> authed_user(
       const net::HttpRequest& request) const;
 
-  /// 401 unless the token is valid AND matches the :id path parameter.
+  /// 401 unless the token is valid AND matches the :id path parameter;
+  /// a malformed :id throws JsonError (400).
   std::optional<net::HttpResponse> require_user(
       const net::HttpRequest& request, const net::PathParams& params,
       world::DeviceId& user_out) const;

@@ -133,11 +133,6 @@ void InferenceEngine::refresh_policy(SimTime t) {
                  social ? std::optional(config_.bluetooth_period) : std::nullopt);
 }
 
-void InferenceEngine::on_gsm(SimTime t) {
-  device_->read_gsm_into(t, gsm_scratch_);
-  on_gsm_reading(gsm_scratch_);
-}
-
 void InferenceEngine::on_gsm_reading(const sensing::GsmReading& reading) {
   const SimTime t = reading.t;
   if (reading.serving.mcc == 0) return;  // dead zone, nothing heard yet

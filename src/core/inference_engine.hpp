@@ -190,10 +190,8 @@ class InferenceEngine {
 
  private:
   // Sensor callbacks.
-  void on_gsm(SimTime t);
-  /// GSM handling after the modem read — shared by the single-sample path
-  /// and the run-oriented batch path (which reads via Device::read_gsm_run
-  /// into a reusable scratch reading).
+  /// GSM handling after the modem read; the batch callback reads each run
+  /// via Device::read_gsm_run into the device's reusable scratch reading.
   void on_gsm_reading(const sensing::GsmReading& reading);
   void on_wifi(SimTime t);
   void on_gps(SimTime t);
@@ -239,11 +237,10 @@ class InferenceEngine {
   std::optional<PlaceUid> gsm_uid_;
 
   // --- hot-loop scratch & pre-resolved telemetry handles ---
-  sensing::GsmReading gsm_scratch_;
   sensing::WifiScan wifi_scratch_;
-  telemetry::CachedCounter events_enter_;
-  telemetry::CachedCounter events_exit_;
-  telemetry::CachedCounter events_new_place_;
+  telemetry::CounterHandle events_enter_;
+  telemetry::CounterHandle events_exit_;
+  telemetry::CounterHandle events_new_place_;
 
   // --- WiFi state ---
   algorithms::WifiPlaceDetector wifi_detector_;

@@ -161,7 +161,7 @@ net::HttpRequest PmwareMobileService::make_request(net::Method method,
   net::HttpRequest request;
   request.method = method;
   request.path = std::move(path);
-  request.headers["X-Sim-Time"] = std::to_string(now);
+  request.headers[net::kSimTimeHeader] = std::to_string(now);
   // Stamp the registration session so the cloud can fence writes from
   // incarnations that predate a privacy wipe (tombstones, DESIGN.md
   // "Failure model & recovery").

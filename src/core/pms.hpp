@@ -233,15 +233,15 @@ class PmwareMobileService {
   // Pre-resolved delivery counters: the event sinks fire inside the sensing
   // hot loop, so no per-event LabelSet build or registry lookup. Engaged in
   // the constructor body once instance_ is known.
-  std::optional<telemetry::CachedCounter> place_events_counter_;
-  std::optional<telemetry::CachedCounter> route_events_counter_;
-  std::optional<telemetry::CachedCounter> encounters_counter_;
+  std::optional<telemetry::CounterHandle> place_events_counter_;
+  std::optional<telemetry::CounterHandle> route_events_counter_;
+  std::optional<telemetry::CounterHandle> encounters_counter_;
   // Same treatment for the per-work-item outbox counters (enqueue and drain
   // loop over entries every housekeeping tick).
-  std::optional<telemetry::CachedCounter> outbox_enqueued_counter_;
-  std::optional<telemetry::CachedCounter> outbox_evicted_counter_;
-  std::optional<telemetry::CachedCounter> outbox_delivered_counter_;
-  std::optional<telemetry::CachedCounter> outbox_recovered_counter_;
+  std::optional<telemetry::CounterHandle> outbox_enqueued_counter_;
+  std::optional<telemetry::CounterHandle> outbox_evicted_counter_;
+  std::optional<telemetry::CounterHandle> outbox_delivered_counter_;
+  std::optional<telemetry::CounterHandle> outbox_recovered_counter_;
 
   std::optional<world::DeviceId> user_id_;
   SimTime token_expires_ = 0;

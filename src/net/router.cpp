@@ -48,11 +48,6 @@ void Router::add_route(Method method, const std::string& pattern,
       {method, pattern, std::move(segments), params, std::move(handler)});
 }
 
-void Router::add_middleware(Middleware mw,
-                            std::vector<std::string> exempt_prefixes) {
-  guards_.push_back({std::move(mw), std::move(exempt_prefixes)});
-}
-
 bool Router::match(const Route& route, const std::vector<std::string>& segments,
                    PathParams& params) {
   if (route.segments.size() != segments.size()) return false;
@@ -81,9 +76,10 @@ HttpResponse Router::handle(const HttpRequest& request) const {
   };
 
   // The fault injector models a failure in front of the service (load
-  // balancer, network partition), so it runs before auth guards and
-  // handlers: an injected failure guarantees no server-side state changed,
-  // which is what makes client retries and outbox replay safe.
+  // balancer, network partition), so it runs before any handler (the cloud
+  // authenticates inside its handlers): an injected failure guarantees no
+  // server-side state changed, which is what makes client retries and
+  // outbox replay safe.
   SimDuration added_latency_s = 0;
   if (fault_injector_) {
     FaultOutcome outcome = fault_injector_(request);
@@ -92,22 +88,6 @@ HttpResponse Router::handle(const HttpRequest& request) const {
       outcome.reject->sim_latency_s = added_latency_s;
       observe("<fault>", outcome.reject->status);
       return *std::move(outcome.reject);
-    }
-  }
-
-  for (const Guard& guard : guards_) {
-    bool exempt = false;
-    for (const std::string& prefix : guard.exempt_prefixes) {
-      if (request.path.rfind(prefix, 0) == 0) {
-        exempt = true;
-        break;
-      }
-    }
-    if (exempt) continue;
-    if (auto response = guard.mw(request)) {
-      response->sim_latency_s = added_latency_s;
-      observe("<middleware>", response->status);
-      return *response;
     }
   }
 

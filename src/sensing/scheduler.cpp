@@ -18,10 +18,10 @@ telemetry::LabelSet interface_labels(energy::Interface interface) {
   return {{"interface", energy::to_string(interface)}};
 }
 
-std::array<telemetry::CachedCounter, energy::kInterfaceCount> sample_counters(
+std::array<telemetry::CounterHandle, energy::kInterfaceCount> sample_counters(
     const char* name, const char* help) {
   const auto make = [&](std::size_t i) {
-    return telemetry::CachedCounter(
+    return telemetry::CounterHandle(
         name, interface_labels(static_cast<energy::Interface>(i)), help);
   };
   return {make(0), make(1), make(2), make(3), make(4)};
@@ -75,10 +75,6 @@ void SamplingScheduler::set_period(energy::Interface interface,
       .set(period ? 1.0 / static_cast<double>(*period) : 0.0);
 }
 
-void SamplingScheduler::set_callback(energy::Interface interface, Callback cb) {
-  callbacks_[static_cast<std::size_t>(interface)] = std::move(cb);
-}
-
 void SamplingScheduler::set_batch_callback(energy::Interface interface,
                                            BatchCallback cb) {
   batch_callbacks_[static_cast<std::size_t>(interface)] = std::move(cb);
@@ -86,18 +82,9 @@ void SamplingScheduler::set_batch_callback(energy::Interface interface,
 
 void SamplingScheduler::request_once(energy::Interface interface, SimTime at) {
   const auto idx = static_cast<std::size_t>(interface);
-  one_shots_total_[idx].get().inc();
+  one_shots_total_[idx].inc();
   ++change_epoch_;
   shots_.push({std::max(at, now_), idx, one_shot_seq_++});
-}
-
-void SamplingScheduler::dispatch_single(std::size_t index, SimTime t) {
-  if (batch_callbacks_[index]) {
-    const std::span<const SimTime> one(&t, 1);
-    (void)batch_callbacks_[index](one);
-  } else if (callbacks_[index]) {
-    callbacks_[index](t);
-  }
 }
 
 void SamplingScheduler::dispatch_due_one_shots(SimTime t) {
@@ -115,9 +102,11 @@ void SamplingScheduler::dispatch_due_one_shots(SimTime t) {
   for (const OneShot& shot : due_shots_) {
     const auto interface = static_cast<energy::Interface>(shot.index);
     if (meter_ != nullptr) meter_->charge_sample(interface, now_);
-    samples_total_[shot.index].get().inc();
+    samples_total_[shot.index].inc();
+    const auto& callback = batch_callbacks_[shot.index];
+    if (!callback) continue;
     const auto begin = std::chrono::steady_clock::now();
-    dispatch_single(shot.index, now_);
+    (void)callback(std::span<const SimTime>(&t, 1));
     callback_ns_[shot.index] +=
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - begin)
@@ -126,8 +115,7 @@ void SamplingScheduler::dispatch_due_one_shots(SimTime t) {
 }
 
 void SamplingScheduler::dispatch_periodic_run(std::size_t index, SimTime t0,
-                                              SimTime horizon,
-                                              TimeWindow window) {
+                                              SimTime horizon) {
   const SimDuration p = *periods_[index];
   const auto interface = static_cast<energy::Interface>(index);
 
@@ -144,50 +132,26 @@ void SamplingScheduler::dispatch_periodic_run(std::size_t index, SimTime t0,
     run_buffer_.push_back(t0 + static_cast<SimTime>(k) * p);
 
   const std::uint64_t gen_before = generation_[index];
-  if (batch_callbacks_[index]) {
-    now_ = t0;
+  now_ = t0;
+  std::size_t consumed = n;
+  if (const auto& callback = batch_callbacks_[index]) {
     const auto begin = std::chrono::steady_clock::now();
-    std::size_t consumed = batch_callbacks_[index](
-        std::span<const SimTime>(run_buffer_.data(), n));
+    consumed = callback(std::span<const SimTime>(run_buffer_.data(), n));
     callback_ns_[index] +=
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - begin)
             .count();
     consumed = std::clamp<std::size_t>(consumed, 1, n);
-    const SimTime last = run_buffer_[consumed - 1];
-    now_ = std::max(now_, last);
-    if (meter_ != nullptr) meter_->charge_samples(interface, consumed, last);
-    samples_total_[index].get().add(consumed);
-    // A mid-run set_period on this interface already re-armed it (relative
-    // to the consumer's explicit `from`); otherwise continue the cadence
-    // from the last consumed sample.
-    if (generation_[index] == gen_before && periods_[index])
-      next_due_[index] = last + *periods_[index];
-  } else {
-    // Per-sample path (tests, ad-hoc consumers): identical semantics to the
-    // retired heap loop — reschedule before dispatch so a callback changing
-    // the period wins, and stop the run on any schedule change so foreign
-    // events (new one-shots, other interfaces' new periods) interleave at
-    // the right times.
-    for (std::size_t k = 0; k < n; ++k) {
-      const SimTime t = run_buffer_[k];
-      const std::uint64_t epoch_before = change_epoch_;
-      now_ = t;
-      next_due_[index] = t + p;
-      if (meter_ != nullptr) meter_->charge_sample(interface, t);
-      samples_total_[index].get().inc();
-      if (callbacks_[index]) {
-        const auto begin = std::chrono::steady_clock::now();
-        callbacks_[index](t);
-        callback_ns_[index] +=
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
-      }
-      if (change_epoch_ != epoch_before) break;
-    }
   }
-  (void)window;
+  const SimTime last = run_buffer_[consumed - 1];
+  now_ = last;
+  if (meter_ != nullptr) meter_->charge_samples(interface, consumed, last);
+  samples_total_[index].inc(consumed);
+  // A mid-run set_period on this interface already re-armed it (relative
+  // to the consumer's explicit `from`); otherwise continue the cadence
+  // from the last consumed sample.
+  if (generation_[index] == gen_before && periods_[index])
+    next_due_[index] = last + *periods_[index];
 }
 
 void SamplingScheduler::run(TimeWindow window) {
@@ -226,7 +190,7 @@ void SamplingScheduler::run(TimeWindow window) {
       for (std::size_t j = 0; j < next_due_.size(); ++j)
         if (j != best && next_due_[j])
           horizon = std::min(horizon, *next_due_[j]);
-      dispatch_periodic_run(best, best_t, horizon, window);
+      dispatch_periodic_run(best, best_t, horizon);
     } else {
       dispatch_due_one_shots(shot_t);
     }

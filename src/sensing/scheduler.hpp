@@ -17,14 +17,20 @@
 // generation counters plus a global change epoch: a set_period/request_once
 // from inside a run truncates it — the batch consumer stops consuming, the
 // scheduler re-plans from the last consumed sample — so adaptive-sensing
-// semantics are identical to per-sample dispatch (fuzz-verified against
-// ReferenceScheduler, the retired heap implementation).
+// semantics are those of a per-sample loop (fuzz-verified in
+// tests/test_scheduler_perf.cpp against the retired min-heap scheduler).
 //
-// Determinism contract (unchanged): dispatch is time-ordered; at equal
-// times periodic interfaces fire before one-shots, periodic in ascending
-// interface index, one-shots in (interface index, request order). Batching
-// never reorders callbacks, so RNG draw order — and therefore every study
-// digest — is byte-identical to per-sample dispatch.
+// There is one dispatch contract, the batch callback. A per-sample consumer
+// is a batch callback that consumes one sample and returns 1: the scheduler
+// then hands it every sample on its own, at a now() equal to the sample
+// time. An interface with no callback consumes whole runs, still charged to
+// the meter and counted.
+//
+// Determinism contract: dispatch is time-ordered; at equal times periodic
+// interfaces fire before one-shots, periodic in ascending interface index,
+// one-shots in (interface index, request order). Batching never reorders
+// callbacks, so RNG draw order — and therefore every study digest — is
+// byte-identical to per-sample dispatch.
 #pragma once
 
 #include <array>
@@ -44,17 +50,18 @@ namespace pmware::sensing {
 
 class SamplingScheduler {
  public:
-  using Callback = std::function<void(SimTime)>;
-
   /// Batch handler: receives a run of fire times for one interface (always
   /// non-empty, strictly increasing, one period apart) and returns how many
-  /// it consumed, in order, from the front. Consuming fewer than the full
-  /// run tells the scheduler the sampling schedule changed mid-run (the
+  /// it consumed, in order, from the front. The count is clamped to
+  /// [1, run length]: returning 0 consumes the first sample, returning more
+  /// than the run consumes the whole run. Consuming fewer than the full run
+  /// tells the scheduler the sampling schedule changed mid-run (the
   /// consumer called set_period/request_once); the scheduler re-plans the
   /// remainder. Contract for in-run schedule changes: stop consuming right
   /// after the sample that made the change, and pass explicit times —
   /// set_period(i, p, /*from=*/t) and request_once(i, /*at>=*/t) — because
-  /// now() only advances at run granularity during batch dispatch.
+  /// now() is the run's first fire time during dispatch. A consumer that
+  /// takes one sample per call may rely on now() instead.
   using BatchCallback = std::function<std::size_t(std::span<const SimTime>)>;
 
   /// Longest run handed to a batch callback in one call; bounds the reusable
@@ -74,12 +81,8 @@ class SamplingScheduler {
     return periods_[static_cast<std::size_t>(interface)];
   }
 
-  /// Installs the handler invoked on each sample of `interface`.
-  void set_callback(energy::Interface interface, Callback cb);
-
-  /// Installs a run-oriented handler for `interface`; takes precedence over
-  /// the per-sample callback when both are set. One-shots arrive as runs of
-  /// length 1.
+  /// Installs the handler for `interface`'s samples. One-shots arrive as
+  /// runs of length 1.
   void set_batch_callback(energy::Interface interface, BatchCallback cb);
 
   /// Requests a single extra sample at time `at` (>= now); used for
@@ -123,20 +126,15 @@ class SamplingScheduler {
 
   /// Dispatches the run of interface `index` starting at `t0`, bounded by
   /// the earliest foreign event (`horizon`, exclusive).
-  void dispatch_periodic_run(std::size_t index, SimTime t0, SimTime horizon,
-                             TimeWindow window);
+  void dispatch_periodic_run(std::size_t index, SimTime t0, SimTime horizon);
   /// Dispatches the snapshot of one-shots due at <= t (all at time t).
   void dispatch_due_one_shots(SimTime t);
-  /// Fires one sample of `index` at `t` through the batch callback (span of
-  /// one) or the per-sample callback.
-  void dispatch_single(std::size_t index, SimTime t);
 
   energy::EnergyMeter* meter_;
   std::string instance_;  ///< registry label isolating this device's gauges
   std::array<std::optional<SimDuration>, energy::kInterfaceCount> periods_{};
   std::array<std::optional<SimTime>, energy::kInterfaceCount> next_due_{};
   std::array<std::uint64_t, energy::kInterfaceCount> generation_{};
-  std::array<Callback, energy::kInterfaceCount> callbacks_{};
   std::array<BatchCallback, energy::kInterfaceCount> batch_callbacks_{};
   std::priority_queue<OneShot, std::vector<OneShot>, ShotLater> shots_;
   std::uint64_t one_shot_seq_ = 0;
@@ -158,8 +156,8 @@ class SamplingScheduler {
   // Pre-resolved per-interface sample/one-shot counters: the hot loop does
   // one relaxed atomic add per dispatch instead of a LabelSet build + a
   // locked registry lookup per sample.
-  std::array<telemetry::CachedCounter, energy::kInterfaceCount> samples_total_;
-  std::array<telemetry::CachedCounter, energy::kInterfaceCount> one_shots_total_;
+  std::array<telemetry::CounterHandle, energy::kInterfaceCount> samples_total_;
+  std::array<telemetry::CounterHandle, energy::kInterfaceCount> one_shots_total_;
 };
 
 }  // namespace pmware::sensing

@@ -79,8 +79,9 @@ std::string diagnostics_summary(const Tracer& tracer,
 /// conditional-transfer rows and microbenchmarks are gone), 11 = the
 /// study has one runner: "chaos_sweep" runs record "wave" (wave size,
 /// 0 = auto) in place of "runner", and "population_sweep" drops its
-/// "runner" field.
-inline constexpr int kBenchSchemaVersion = 11;
+/// "runner" field, 12 = "scheduler_sweep" drops its "dispatch_microbench"
+/// (the retired heap scheduler left the library) and keeps "study_flame".
+inline constexpr int kBenchSchemaVersion = 12;
 
 /// Reproducibility metadata embedded in every BENCH_*.json, so the perf
 /// trajectory stays comparable across PRs. Zero fields mean "not

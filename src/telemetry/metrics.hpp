@@ -88,9 +88,6 @@ class Counter {
     }
     overflow_stripe(tid).fetch_add(n, std::memory_order_relaxed);
   }
-  /// Batch increment for run-oriented hot loops: one atomic add covers a
-  /// whole dispatched run of samples.
-  void add(std::uint64_t n) { inc(n); }
 
   std::uint64_t value() const {
     std::uint64_t total = head_.load(std::memory_order_relaxed);
@@ -450,9 +447,5 @@ class HistogramHandle : public MetricHandle<HistogramMetric, HistogramHandle> {
   double hi_;
   std::size_t bucket_count_;
 };
-
-/// PR 7 name for the pre-resolved counter handle; kept for existing call
-/// sites (scheduler, inference engine, PMS outbox counters).
-using CachedCounter = CounterHandle;
 
 }  // namespace pmware::telemetry

@@ -1,4 +1,4 @@
-#include "sensing/scheduler_reference.hpp"
+#include "scheduler_reference.hpp"
 
 #include <stdexcept>
 

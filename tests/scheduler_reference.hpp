@@ -1,7 +1,6 @@
 // Reference sampling scheduler: the retired min-heap implementation, kept
 // verbatim (modulo the class name) as the equivalence oracle for the
-// run-oriented SamplingScheduler and as the "before" baseline in the
-// scheduler dispatch microbench.
+// run-oriented SamplingScheduler. Compiled only into test_scheduler_perf.
 //
 // The event loop is a min-heap of due events (periodic firings and
 // one-shots). Periodic entries are invalidated lazily via per-interface
@@ -9,8 +8,6 @@
 // entry; stale heap entries are discarded when popped. Every dispatched
 // sample builds a LabelSet and takes a locked registry lookup — the exact
 // per-sample cost profile the batched scheduler was built to remove.
-//
-// Do not use in production paths; it exists for tests and benches only.
 #pragma once
 
 #include <array>

@@ -219,7 +219,7 @@ class EndpointTest : public TelemetryReset {
     net::HttpRequest req;
     req.method = net::Method::Get;
     req.path = std::move(path);
-    req.headers[cloud::CloudInstance::kSimTimeHeader] = "0";
+    req.headers[net::kSimTimeHeader] = "0";
     if (!token_.empty()) req.headers["Authorization"] = "Bearer " + token_;
     return req;
   }
@@ -228,7 +228,7 @@ class EndpointTest : public TelemetryReset {
     net::HttpRequest req;
     req.method = net::Method::Post;
     req.path = "/api/register";
-    req.headers[cloud::CloudInstance::kSimTimeHeader] = "0";
+    req.headers[net::kSimTimeHeader] = "0";
     req.body = Json::object();
     req.body.set("imei", "111");
     req.body.set("email", "a@b.c");

@@ -110,7 +110,7 @@ TEST(AnalyticsExt, EndpointsServeDepartureAndNextPlace) {
   net::HttpRequest reg;
   reg.method = net::Method::Post;
   reg.path = "/api/register";
-  reg.headers[CloudInstance::kSimTimeHeader] = "0";
+  reg.headers[net::kSimTimeHeader] = "0";
   reg.body = Json::object();
   reg.body.set("imei", "1");
   reg.body.set("email", "a@b");
@@ -121,7 +121,7 @@ TEST(AnalyticsExt, EndpointsServeDepartureAndNextPlace) {
     net::HttpRequest req;
     req.method = net::Method::Get;
     req.path = path;
-    req.headers[CloudInstance::kSimTimeHeader] = "0";
+    req.headers[net::kSimTimeHeader] = "0";
     req.headers["Authorization"] = "Bearer " + token;
     return cloud.router().handle(req);
   };

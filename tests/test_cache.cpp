@@ -91,7 +91,7 @@ class ConditionalFixture : public ::testing::Test {
     HttpRequest req;
     req.method = method;
     req.path = std::move(path);
-    req.headers[cloud::CloudInstance::kSimTimeHeader] = std::to_string(now);
+    req.headers[net::kSimTimeHeader] = std::to_string(now);
     return req;
   }
 

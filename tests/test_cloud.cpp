@@ -28,7 +28,7 @@ class CloudFixture : public ::testing::Test {
     HttpRequest req;
     req.method = method;
     req.path = std::move(path);
-    req.headers[CloudInstance::kSimTimeHeader] = std::to_string(now);
+    req.headers[net::kSimTimeHeader] = std::to_string(now);
     if (!token_.empty()) req.headers["Authorization"] = "Bearer " + token_;
     return req;
   }
@@ -322,7 +322,7 @@ TEST(CloudGeo, CellLookupEndpoint) {
   HttpRequest reg;
   reg.method = Method::Post;
   reg.path = "/api/register";
-  reg.headers[CloudInstance::kSimTimeHeader] = "0";
+  reg.headers[net::kSimTimeHeader] = "0";
   reg.body = Json::object();
   reg.body.set("imei", "1");
   reg.body.set("email", "a@b");
@@ -332,7 +332,7 @@ TEST(CloudGeo, CellLookupEndpoint) {
   HttpRequest get;
   get.method = Method::Get;
   get.path = "/api/geo/cell/404/10/101/1000";
-  get.headers[CloudInstance::kSimTimeHeader] = "0";
+  get.headers[net::kSimTimeHeader] = "0";
   get.headers["Authorization"] = "Bearer " + token;
   const HttpResponse res = cloud.router().handle(get);
   ASSERT_TRUE(res.ok());

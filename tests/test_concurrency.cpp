@@ -237,7 +237,7 @@ HttpRequest make_request(Method method, std::string path,
   HttpRequest req;
   req.method = method;
   req.path = std::move(path);
-  req.headers[CloudInstance::kSimTimeHeader] = std::to_string(now);
+  req.headers[net::kSimTimeHeader] = std::to_string(now);
   if (!token.empty()) req.headers["Authorization"] = "Bearer " + token;
   return req;
 }

@@ -96,7 +96,7 @@ TEST(ActivityTracking, ActivityEndpointServesSummary) {
   net::HttpRequest request;
   request.method = net::Method::Get;
   request.path = "/api/users/1/analytics/activity/0";
-  request.headers[cloud::CloudInstance::kSimTimeHeader] =
+  request.headers[net::kSimTimeHeader] =
       std::to_string(days(2));
   request.headers["Authorization"] =
       "Bearer " + stack.pms->client()->auth_token();
@@ -192,7 +192,7 @@ TEST(Privacy, DeleteEndpointsRequireMatchingUser) {
   net::HttpRequest request;
   request.method = net::Method::Delete;
   request.path = "/api/users/2";  // someone else
-  request.headers[cloud::CloudInstance::kSimTimeHeader] = "0";
+  request.headers[net::kSimTimeHeader] = "0";
   request.headers["Authorization"] =
       "Bearer " + stack.pms->client()->auth_token();
   EXPECT_EQ(stack.cloud->router().handle(request).status,

@@ -193,7 +193,7 @@ TEST(EndToEnd, MetricsScrapeCoversEveryMiddlewareLayer) {
   net::HttpRequest reg;
   reg.method = net::Method::Post;
   reg.path = "/api/register";
-  reg.headers[cloud::CloudInstance::kSimTimeHeader] = "0";
+  reg.headers[net::kSimTimeHeader] = "0";
   reg.body = Json::object();
   reg.body.set("imei", "scraper-imei");
   reg.body.set("email", "scraper@ops.example");
@@ -203,7 +203,7 @@ TEST(EndToEnd, MetricsScrapeCoversEveryMiddlewareLayer) {
   net::HttpRequest scrape;
   scrape.method = net::Method::Get;
   scrape.path = "/metrics";
-  scrape.headers[cloud::CloudInstance::kSimTimeHeader] = "0";
+  scrape.headers[net::kSimTimeHeader] = "0";
   scrape.headers["Authorization"] =
       "Bearer " + registered.body.at("token").as_string();
   const net::HttpResponse res = stack.cloud->router().handle(scrape);

@@ -503,5 +503,106 @@ TEST(Robustness, MalformedDiscoverBodiesAreRejectedWhole) {
   EXPECT_EQ(retained(), std::make_pair(all.size(), core::movement_digest(all)));
 }
 
+// Integer path parameters are parsed whole and range-checked like
+// cell_from_json's fields: trailing junk ("1x" is not user 1), a value past
+// the field's type (mcc 70000 must not wrap to 4464) or a negative field
+// (cid -1 must not wrap to 2^32-1) answers 400, is counted under the route
+// pattern, and stores nothing. The geo database holds the wrapped cells, so
+// a wrapping parse would answer 200.
+TEST(Robustness, MalformedPathIntegersAnswer400AndStoreNothing) {
+  const world::CellId wrapped_mcc{4464, 1, 1, 1, world::Radio::Gsm2G};
+  const world::CellId wrapped_cid{1, 1, 1, 0xFFFFFFFFu, world::Radio::Gsm2G};
+  cloud::CloudInstance cloud(
+      cloud::CloudConfig{},
+      cloud::GeoLocationService({{wrapped_mcc, {1, 2}}, {wrapped_cid, {3, 4}}}),
+      Rng(1));
+  net::HttpRequest reg;
+  reg.method = net::Method::Post;
+  reg.path = "/api/register";
+  reg.body = Json::object();
+  reg.body.set("imei", "333");
+  reg.body.set("email", "g@h.i");
+  const net::HttpResponse registered = cloud.router().handle(reg);
+  ASSERT_EQ(registered.status, net::kStatusCreated);
+  const auto user =
+      static_cast<world::DeviceId>(registered.body.at("user").as_int());
+  const std::string token = registered.body.at("token").as_string();
+  const auto send = [&](net::Method method, const std::string& path,
+                        Json body) {
+    net::HttpRequest req;
+    req.method = method;
+    req.path = path;
+    req.headers["Authorization"] = "Bearer " + token;
+    req.body = std::move(body);
+    return cloud.router().handle(req);
+  };
+  const auto bad_requests = [](const char* method, const char* route) {
+    return telemetry::registry().counter_value(
+        "cloud_requests_total",
+        {{"method", method}, {"route", route}, {"status", "400"}});
+  };
+  const auto stored = [&] {
+    const auto locked = cloud.storage().locked_user(user);
+    return std::make_pair(locked->places.size(), locked->profiles.size());
+  };
+  const std::string users = strfmt("/api/users/%u", user);
+  core::PlaceRecord record;
+  record.uid = 5;
+  record.signature = algorithms::WifiSignature{{1, 2}};
+  core::MobilityProfile profile;
+  profile.day = 3;
+
+  const char* kPlace = "/api/users/:id/places/:uid";
+  const char* kProfile = "/api/users/:id/profiles/:day";
+  const char* kCell = "/api/geo/cell/:mcc/:mnc/:lac/:cid";
+  const auto place_400 = bad_requests("PUT", kPlace);
+  const auto profile_400 = bad_requests("PUT", kProfile);
+  const auto cell_400 = bad_requests("GET", kCell);
+
+  const std::vector<std::string> bad_places = {
+      users + "x/places/5",                           // :id
+      users + "/places/5x",                           // :uid
+      users + "/places/-5",
+      users + "/places/18446744073709551616",         // 2^64
+  };
+  for (const std::string& path : bad_places) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(send(net::Method::Put, path, core::to_json(record)).status,
+              net::kStatusBadRequest);
+  }
+  const std::vector<std::string> bad_days = {
+      users + "/profiles/3x", users + "/profiles/ 3",
+      users + "/profiles/9223372036854775808"};       // 2^63
+  for (const std::string& path : bad_days) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(send(net::Method::Put, path, core::to_json(profile)).status,
+              net::kStatusBadRequest);
+  }
+  const std::vector<std::string> bad_cells = {
+      "/api/geo/cell/70000/1/1/1", "/api/geo/cell/1/1/1/-1",
+      "/api/geo/cell/1/1/1/4294967296", "/api/geo/cell/1x/1/1/1"};
+  for (const std::string& path : bad_cells) {
+    SCOPED_TRACE(path);
+    EXPECT_EQ(send(net::Method::Get, path, Json()).status,
+              net::kStatusBadRequest);
+  }
+  EXPECT_EQ(bad_requests("PUT", kPlace), place_400 + bad_places.size());
+  EXPECT_EQ(bad_requests("PUT", kProfile), profile_400 + bad_days.size());
+  EXPECT_EQ(bad_requests("GET", kCell), cell_400 + bad_cells.size());
+  EXPECT_EQ(stored(), std::make_pair(std::size_t{0}, std::size_t{0}));
+
+  // The same routes with well-formed integers are served.
+  EXPECT_EQ(send(net::Method::Put, users + "/places/5", core::to_json(record))
+                .status,
+            net::kStatusCreated);
+  EXPECT_EQ(send(net::Method::Put, users + "/profiles/3",
+                 core::to_json(profile))
+                .status,
+            net::kStatusCreated);
+  EXPECT_EQ(send(net::Method::Get, "/api/geo/cell/4464/1/1/1", Json()).status,
+            net::kStatusOk);
+  EXPECT_EQ(stored(), std::make_pair(std::size_t{1}, std::size_t{1}));
+}
+
 }  // namespace
 }  // namespace pmware

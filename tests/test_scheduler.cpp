@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "one_sample.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pmware::sensing {
@@ -15,8 +18,8 @@ TEST(Scheduler, PeriodicCadence) {
   energy::EnergyMeter meter;
   SamplingScheduler scheduler(&meter);
   std::vector<SimTime> fired;
-  scheduler.set_callback(Interface::Gsm,
-                         [&fired](SimTime t) { fired.push_back(t); });
+  on_each_sample(scheduler, Interface::Gsm,
+                 [&fired](SimTime t) { fired.push_back(t); });
   scheduler.set_period(Interface::Gsm, 60);
   scheduler.run(TimeWindow{0, minutes(10)});
   // Fires at 0, 60, ..., 540 (not at the exclusive end).
@@ -28,7 +31,7 @@ TEST(Scheduler, PeriodicCadence) {
 TEST(Scheduler, MeterChargedPerSampleAndBaseline) {
   energy::EnergyMeter meter;
   SamplingScheduler scheduler(&meter);
-  scheduler.set_callback(Interface::Wifi, [](SimTime) {});
+  on_each_sample(scheduler, Interface::Wifi, [](SimTime) {});
   scheduler.set_period(Interface::Wifi, 120);
   scheduler.run(TimeWindow{0, minutes(10)});
   EXPECT_EQ(meter.sample_count(Interface::Wifi), 5u);
@@ -39,7 +42,7 @@ TEST(Scheduler, MeterChargedPerSampleAndBaseline) {
 TEST(Scheduler, NullMeterIsAllowed) {
   SamplingScheduler scheduler(nullptr);
   int fired = 0;
-  scheduler.set_callback(Interface::Gsm, [&fired](SimTime) { ++fired; });
+  on_each_sample(scheduler, Interface::Gsm, [&fired](SimTime) { ++fired; });
   scheduler.set_period(Interface::Gsm, 60);
   scheduler.run(TimeWindow{0, minutes(5)});
   EXPECT_EQ(fired, 5);
@@ -48,7 +51,7 @@ TEST(Scheduler, NullMeterIsAllowed) {
 TEST(Scheduler, DisabledInterfaceNeverFires) {
   SamplingScheduler scheduler(nullptr);
   int fired = 0;
-  scheduler.set_callback(Interface::Gps, [&fired](SimTime) { ++fired; });
+  on_each_sample(scheduler, Interface::Gps, [&fired](SimTime) { ++fired; });
   scheduler.run(TimeWindow{0, hours(1)});
   EXPECT_EQ(fired, 0);
 }
@@ -87,7 +90,7 @@ TEST(Scheduler, SetPeriodRejectsNonPositive) {
 TEST(Scheduler, CallbackCanChangePeriodMidRun) {
   SamplingScheduler scheduler(nullptr);
   std::vector<SimTime> fired;
-  scheduler.set_callback(Interface::Gsm, [&](SimTime t) {
+  on_each_sample(scheduler, Interface::Gsm, [&](SimTime t) {
     fired.push_back(t);
     if (t == 120) scheduler.set_period(Interface::Gsm, 300);
   });
@@ -101,7 +104,7 @@ TEST(Scheduler, CallbackCanChangePeriodMidRun) {
 TEST(Scheduler, CallbackCanDisableItself) {
   SamplingScheduler scheduler(nullptr);
   int fired = 0;
-  scheduler.set_callback(Interface::Accelerometer, [&](SimTime) {
+  on_each_sample(scheduler, Interface::Accelerometer, [&](SimTime) {
     if (++fired == 3) scheduler.set_period(Interface::Accelerometer, std::nullopt);
   });
   scheduler.set_period(Interface::Accelerometer, 60);
@@ -113,8 +116,8 @@ TEST(Scheduler, OneShotFiresOnce) {
   energy::EnergyMeter meter;
   SamplingScheduler scheduler(&meter);
   std::vector<SimTime> fired;
-  scheduler.set_callback(Interface::Wifi,
-                         [&fired](SimTime t) { fired.push_back(t); });
+  on_each_sample(scheduler, Interface::Wifi,
+                 [&fired](SimTime t) { fired.push_back(t); });
   scheduler.request_once(Interface::Wifi, 90);
   scheduler.run(TimeWindow{0, minutes(10)});
   ASSERT_EQ(fired.size(), 1u);
@@ -125,9 +128,9 @@ TEST(Scheduler, OneShotFiresOnce) {
 TEST(Scheduler, OneShotsFromCallbacksDispatch) {
   SamplingScheduler scheduler(nullptr);
   std::vector<SimTime> wifi_fired;
-  scheduler.set_callback(Interface::Wifi,
-                         [&wifi_fired](SimTime t) { wifi_fired.push_back(t); });
-  scheduler.set_callback(Interface::Gsm, [&scheduler](SimTime t) {
+  on_each_sample(scheduler, Interface::Wifi,
+                 [&wifi_fired](SimTime t) { wifi_fired.push_back(t); });
+  on_each_sample(scheduler, Interface::Gsm, [&scheduler](SimTime t) {
     if (t == 120) {
       // Trigger a burst: now and +60s.
       scheduler.request_once(Interface::Wifi, t);
@@ -143,7 +146,7 @@ TEST(Scheduler, OneShotsFromCallbacksDispatch) {
 TEST(Scheduler, OneShotBeyondWindowDoesNotFire) {
   SamplingScheduler scheduler(nullptr);
   int fired = 0;
-  scheduler.set_callback(Interface::Gps, [&fired](SimTime) { ++fired; });
+  on_each_sample(scheduler, Interface::Gps, [&fired](SimTime) { ++fired; });
   scheduler.request_once(Interface::Gps, hours(2));
   scheduler.run(TimeWindow{0, hours(1)});
   EXPECT_EQ(fired, 0);
@@ -152,9 +155,9 @@ TEST(Scheduler, OneShotBeyondWindowDoesNotFire) {
 TEST(Scheduler, OneShotInPastFiresImmediately) {
   SamplingScheduler scheduler(nullptr);
   std::vector<SimTime> fired;
-  scheduler.set_callback(Interface::Gps,
-                         [&fired](SimTime t) { fired.push_back(t); });
-  scheduler.set_callback(Interface::Gsm, [&scheduler](SimTime t) {
+  on_each_sample(scheduler, Interface::Gps,
+                 [&fired](SimTime t) { fired.push_back(t); });
+  on_each_sample(scheduler, Interface::Gsm, [&scheduler](SimTime t) {
     if (t == 300) scheduler.request_once(Interface::Gps, 100);  // in the past
   });
   scheduler.set_period(Interface::Gsm, 300);
@@ -166,10 +169,10 @@ TEST(Scheduler, OneShotInPastFiresImmediately) {
 TEST(Scheduler, MultipleInterfacesInterleaveInTimeOrder) {
   SamplingScheduler scheduler(nullptr);
   std::vector<std::pair<int, SimTime>> events;
-  scheduler.set_callback(Interface::Gsm,
-                         [&](SimTime t) { events.push_back({0, t}); });
-  scheduler.set_callback(Interface::Accelerometer,
-                         [&](SimTime t) { events.push_back({1, t}); });
+  on_each_sample(scheduler, Interface::Gsm,
+                 [&](SimTime t) { events.push_back({0, t}); });
+  on_each_sample(scheduler, Interface::Accelerometer,
+                 [&](SimTime t) { events.push_back({1, t}); });
   scheduler.set_period(Interface::Gsm, 60);
   scheduler.set_period(Interface::Accelerometer, 90);
   scheduler.run(TimeWindow{0, minutes(6)});
@@ -193,8 +196,8 @@ TEST(Scheduler, RunAdvancesNow) {
 TEST(Scheduler, ConsecutiveWindowsKeepCadence) {
   SamplingScheduler scheduler(nullptr);
   std::vector<SimTime> fired;
-  scheduler.set_callback(Interface::Gsm,
-                         [&fired](SimTime t) { fired.push_back(t); });
+  on_each_sample(scheduler, Interface::Gsm,
+                 [&fired](SimTime t) { fired.push_back(t); });
   scheduler.set_period(Interface::Gsm, 60);
   scheduler.run(TimeWindow{0, 150});
   scheduler.run(TimeWindow{150, 300});
@@ -208,9 +211,9 @@ TEST(Scheduler, OneShotCarriesOverToNextWindow) {
   // fires in the next run() window (the study runs day-sized windows).
   SamplingScheduler scheduler(nullptr);
   std::vector<SimTime> fired;
-  scheduler.set_callback(Interface::Wifi,
-                         [&fired](SimTime t) { fired.push_back(t); });
-  scheduler.set_callback(Interface::Gsm, [&scheduler](SimTime t) {
+  on_each_sample(scheduler, Interface::Wifi,
+                 [&fired](SimTime t) { fired.push_back(t); });
+  on_each_sample(scheduler, Interface::Gsm, [&scheduler](SimTime t) {
     if (t == 60) {
       scheduler.request_once(Interface::Wifi, 300);  // == window.end
       scheduler.request_once(Interface::Wifi, 410);  // beyond window.end
@@ -246,9 +249,9 @@ TEST(Scheduler, BatchCallbackReceivesRuns) {
 }
 
 TEST(Scheduler, BatchConsumerTruncationMatchesPerSampleSemantics) {
-  // The batch consumer changes its own period mid-run: it stops consuming
+  // The full-run consumer changes its own period mid-run: it stops consuming
   // after the triggering sample and passes the explicit time, and the fire
-  // times match the per-sample callback exactly (see
+  // times match the one-sample consumer exactly (see
   // Scheduler.CallbackCanChangePeriodMidRun).
   SamplingScheduler scheduler(nullptr);
   std::vector<SimTime> fired;
@@ -271,9 +274,50 @@ TEST(Scheduler, BatchConsumerTruncationMatchesPerSampleSemantics) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(Scheduler, ReturningZeroConsumesOneSample) {
+  // A consumed count is clamped to [1, run length]: 0 still consumes the
+  // first sample, so the scheduler re-plans from the next fire time and
+  // hands the consumer one sample per call.
+  energy::EnergyMeter meter;
+  SamplingScheduler scheduler(&meter);
+  std::vector<std::pair<SimTime, std::size_t>> runs;  // (first, length)
+  scheduler.set_batch_callback(
+      Interface::Gsm, [&runs](std::span<const SimTime> run) {
+        runs.push_back({run.front(), run.size()});
+        return std::size_t{0};
+      });
+  scheduler.set_period(Interface::Gsm, 60);
+  scheduler.run(TimeWindow{0, minutes(10)});
+  ASSERT_EQ(runs.size(), 10u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].first, static_cast<SimTime>(i) * 60);
+    EXPECT_EQ(runs[i].second, 10 - i);
+  }
+  EXPECT_EQ(meter.sample_count(Interface::Gsm), 10u);
+}
+
+TEST(Scheduler, ReturningMoreThanTheRunConsumesTheRun) {
+  energy::EnergyMeter meter;
+  SamplingScheduler scheduler(&meter);
+  std::vector<std::size_t> lengths;
+  scheduler.set_batch_callback(
+      Interface::Gsm, [&lengths](std::span<const SimTime> run) {
+        lengths.push_back(run.size());
+        return run.size() + 100;
+      });
+  scheduler.set_period(Interface::Gsm, 60);
+  scheduler.run(TimeWindow{0, minutes(10)});
+  scheduler.run(TimeWindow{minutes(10), minutes(20)});
+  // One run per window, charged once per fire time, never beyond it.
+  const std::vector<std::size_t> expected{10, 10};
+  EXPECT_EQ(lengths, expected);
+  EXPECT_EQ(meter.sample_count(Interface::Gsm), 20u);
+}
+
 TEST(Scheduler, BatchAndSingleCallbacksAgree) {
-  // Same policy storm driven through the per-sample and the batch interface
-  // produces identical dispatch logs and identical metered energy.
+  // Same policy storm driven through one-sample consumers and through
+  // full-run consumers that truncate at their schedule change produces
+  // identical dispatch logs and identical metered energy.
   const auto drive = [](auto&& install) {
     energy::EnergyMeter meter;
     SamplingScheduler scheduler(&meter);
@@ -288,13 +332,13 @@ TEST(Scheduler, BatchAndSingleCallbacksAgree) {
 
   const auto single = drive([](SamplingScheduler& s,
                                std::vector<std::pair<int, SimTime>>& log) {
-    s.set_callback(Interface::Gsm, [&s, &log](SimTime t) {
+    on_each_sample(s, Interface::Gsm, [&s, &log](SimTime t) {
       log.push_back({0, t});
       if (t == 300) s.request_once(Interface::Wifi, t + 30);
     });
-    s.set_callback(Interface::Accelerometer,
+    on_each_sample(s, Interface::Accelerometer,
                    [&log](SimTime t) { log.push_back({1, t}); });
-    s.set_callback(Interface::Wifi,
+    on_each_sample(s, Interface::Wifi,
                    [&log](SimTime t) { log.push_back({2, t}); });
   });
   const auto batched = drive([](SamplingScheduler& s,

@@ -3,9 +3,10 @@
 //
 //  * Fuzz: randomized storms of set_period / request_once issued from
 //    callbacks must dispatch identically on the retired heap scheduler
-//    (ReferenceScheduler), the new scheduler's per-sample path, and the new
-//    scheduler's batch path — same (interface, time) log, same metered
-//    joules (bitwise).
+//    (ReferenceScheduler, tests/scheduler_reference.*) and on the
+//    run-oriented scheduler with two consumer shapes — one-sample consumers
+//    and full-run consumers that truncate at a mutation — same (interface,
+//    time) log, same metered joules (bitwise).
 //  * Device: readings with the position-keyed spatial-query cache on are
 //    byte-identical to the uncached path, and the cache actually hits on
 //    dwell-dominated oracles.
@@ -19,9 +20,10 @@
 #include <tuple>
 #include <vector>
 
+#include "one_sample.hpp"
+#include "scheduler_reference.hpp"
 #include "sensing/device.hpp"
 #include "sensing/scheduler.hpp"
-#include "sensing/scheduler_reference.hpp"
 #include "study/deployment.hpp"
 #include "util/rng.hpp"
 #include "world/world.hpp"
@@ -88,20 +90,35 @@ void run_windows(Sched& s) {
     s.run(TimeWindow{w * hours(1), (w + 1) * hours(1)});
 }
 
-/// Storm through per-sample callbacks (works for both scheduler types).
-template <typename Sched>
-std::pair<DispatchLog, double> storm_single(std::uint64_t seed) {
+/// Storm through the reference heap scheduler's per-sample callbacks.
+std::pair<DispatchLog, double> storm_reference(std::uint64_t seed) {
   energy::EnergyMeter meter;
-  Sched s(&meter);
+  ReferenceScheduler s(&meter);
   Rng rng(seed);
   DispatchLog log;
   for (int i = 0; i < kInterfaces; ++i) {
     s.set_callback(static_cast<Interface>(i), [&s, &rng, &log, i](SimTime t) {
       log.push_back({i, t});
-      // Per-sample dispatch: the scheduler clock tracks t, no explicit
-      // anchor needed.
       maybe_mutate(s, rng, t, std::nullopt);
     });
+  }
+  run_windows(s);
+  return {log, meter.total_j()};
+}
+
+/// The same storm through one-sample consumers: each call sees one sample
+/// with now() at its time, so schedule changes need no explicit anchor.
+std::pair<DispatchLog, double> storm_one_sample(std::uint64_t seed) {
+  energy::EnergyMeter meter;
+  SamplingScheduler s(&meter);
+  Rng rng(seed);
+  DispatchLog log;
+  for (int i = 0; i < kInterfaces; ++i) {
+    on_each_sample(s, static_cast<Interface>(i),
+                   [&s, &rng, &log, i](SimTime t) {
+                     log.push_back({i, t});
+                     maybe_mutate(s, rng, t, std::nullopt);
+                   });
   }
   run_windows(s);
   return {log, meter.total_j()};
@@ -133,14 +150,14 @@ std::pair<DispatchLog, double> storm_batched(std::uint64_t seed) {
 }
 
 TEST(SchedulerPerf, FuzzBatchedMatchesReferenceHeap) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const auto reference = storm_single<ReferenceScheduler>(seed);
-    const auto single = storm_single<SamplingScheduler>(seed);
+    const auto reference = storm_reference(seed);
+    const auto one_sample = storm_one_sample(seed);
     const auto batched = storm_batched(seed);
-    ASSERT_EQ(reference.first, single.first);
+    ASSERT_EQ(reference.first, one_sample.first);
     ASSERT_EQ(reference.first, batched.first);
-    EXPECT_EQ(reference.second, single.second);  // joules, bitwise
+    EXPECT_EQ(reference.second, one_sample.second);  // joules, bitwise
     EXPECT_EQ(reference.second, batched.second);
   }
 }
@@ -150,9 +167,15 @@ TEST(SchedulerPerf, EqualTimestampOrderIsPeriodicThenOneShots) {
   // request order — on both schedulers.
   const auto drive = [](auto&& s) {
     DispatchLog log;
-    for (int i = 0; i < kInterfaces; ++i)
-      s.set_callback(static_cast<Interface>(i),
-                     [&log, i](SimTime t) { log.push_back({i, t}); });
+    for (int i = 0; i < kInterfaces; ++i) {
+      const auto record = [&log, i](SimTime t) { log.push_back({i, t}); };
+      if constexpr (std::is_same_v<std::decay_t<decltype(s)>,
+                                   SamplingScheduler>) {
+        on_each_sample(s, static_cast<Interface>(i), record);
+      } else {
+        s.set_callback(static_cast<Interface>(i), record);
+      }
+    }
     // Both periodic interfaces and both one-shots collide at t=120.
     s.set_period(Interface::Bluetooth, 120);  // index 4
     s.set_period(Interface::Wifi, 60);        // index 1

@@ -679,10 +679,10 @@ TEST(Exporters, BenchJsonCarriesSchemaVersionRunMetaAndFlame) {
   buffer << in.rdbuf();
   const Json doc = Json::parse(buffer.str());
   EXPECT_EQ(doc.at("schema_version").as_int(), kBenchSchemaVersion);
-  // Pin the current version: 11 replaced the deployment-study runner
-  // fields with the wave size. Bumping kBenchSchemaVersion means updating
-  // this test and the history comment in export.hpp together.
-  EXPECT_EQ(kBenchSchemaVersion, 11);
+  // Pin the current version: 12 dropped the deployment study's
+  // reference-heap dispatch microbench. Bumping kBenchSchemaVersion means
+  // updating this test and the history comment in export.hpp together.
+  EXPECT_EQ(kBenchSchemaVersion, 12);
   EXPECT_TRUE(doc.contains("timeseries"));
   EXPECT_TRUE(doc.at("timeseries").contains("points"));
   EXPECT_GT(doc.at("process").at("peak_rss_bytes").as_int(), 0);
