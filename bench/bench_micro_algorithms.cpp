@@ -231,7 +231,7 @@ BENCHMARK(BM_SchedulerDispatchBatched)->Unit(benchmark::kMillisecond);
 
 /// read_gsm_into on a dwelling participant; range(0) toggles
 /// DeviceConfig::reuse_world_env. The cached variant asserts a zero-alloc
-/// steady state.
+/// steady state; ci.sh fails when it reports that error.
 void BM_DeviceReadGsm(benchmark::State& state) {
   const bool reuse_env = state.range(0) != 0;
   Rng world_rng(3);

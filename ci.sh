@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 verification, five legs: a plain build (plus the golden study
-# digest assertion and the telemetry ns/op budget gate), a
-# warnings-as-errors build, an address+UB-sanitized one, a thread-sanitized
-# build that runs the Sharding-labeled tests (the telemetry registry/tracer
-# hammer, the sharded-cloud hammer, the router/cloud suites, and the
-# parallel deployment study) together with the SchedulerPerf battery (the
-# batched sensing hot loop raced across 8 workers), the Concurrency battery
-# (striped counters / sharded histograms / metric handles), and the
-# Alerting battery (recorder + alert engine), and a chaos leg that re-runs
-# the Robustness-labeled fault/outbox/breaker tests under asan together
-# with Caching, Alerting, and the Population study-runner battery.
+# digest assertion, the telemetry ns/op budget gate and the GSM read
+# zero-allocation gate), a warnings-as-errors build, an address+UB-sanitized
+# one, a thread-sanitized build that runs the Sharding-labeled tests (the
+# telemetry registry/tracer hammer, the sharded-cloud hammer, the
+# router/cloud suites, and the parallel deployment study) together with the
+# SchedulerPerf battery (the batched sensing hot loop raced across 8
+# workers), the Concurrency battery (striped counters / sharded histograms /
+# metric handles), and the Alerting battery (recorder + alert engine), and a
+# chaos leg that re-runs the Robustness-labeled fault/outbox/breaker tests
+# under asan together with Caching, Alerting, and the Population
+# study-runner battery.
 # The golden-digest gate runs the study at two wave shapes (the default
 # wave, which holds all 4 participants, and --wave 1, a barrier after
 # every participant) against tests/golden/study_digest.txt, then again
@@ -153,6 +154,20 @@ python3 perfbench/run.py --selftest
 echo "=== telemetry ns/op budget ==="
 ./build/bench/bench_micro_algorithms --assert-telemetry-budget
 
+# GSM read zero-allocation gate: BM_DeviceReadGsm/1 (the cached read on a
+# dwelling participant) marks itself with an error when a steady-state
+# read_gsm_into allocates. google-benchmark still exits 0 then, so the
+# output is checked for the error and for the /1 row itself.
+echo "=== GSM read zero-allocation ==="
+gsm_bench="$(./build/bench/bench_micro_algorithms \
+    --benchmark_filter=BM_DeviceReadGsm 2>&1)"
+grep '^BM_DeviceReadGsm' <<<"${gsm_bench}" || true
+if grep -q 'ERROR OCCURRED' <<<"${gsm_bench}" ||
+   ! grep -q '^BM_DeviceReadGsm/1 ' <<<"${gsm_bench}"; then
+  echo "BM_DeviceReadGsm reported an error or did not run" >&2
+  exit 1
+fi
+
 # -Wall -Wextra are always on; this build promotes them to errors so new
 # warnings fail CI instead of scrolling by.
 run_suite build-werror "" -DPMWARE_WERROR=ON "$@"
@@ -172,8 +187,8 @@ run_suite build-tsan "-L Sharding|Caching|SchedulerPerf|Concurrency|Alerting|Pop
 # Chaos leg: the fault-injection / outbox / circuit-breaker battery again
 # under asan+ubsan, isolated so failures point straight at the recovery
 # machinery (the Robustness label also carries the GSM fading cutoff's
-# differential and config-validation tests, so its top-k bookkeeping runs
-# under asan+ubsan too), plus the cache battery (the cached study under an outage plan,
+# differential, serving-digest and config-validation tests, so the
+# per-radio layer search runs under asan+ubsan too), plus the cache battery (the cached study under an outage plan,
 # digest invalidation) and the alerting battery (rule evaluation over the
 # failure counters those faults drive). Reuses the sanitized build above.
 # Population rides along so the bounded-memory guarantee is asserted under

@@ -24,26 +24,40 @@ using net::PathParams;
 
 namespace {
 
-/// The registration session the request claims to act under (0 if absent).
-std::uint64_t request_session(const HttpRequest& request) {
-  const auto it = request.headers.find(net::kSessionHeader);
-  if (it == request.headers.end()) return 0;
-  return std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-/// Path parameter `key` as a T. The whole segment must be a decimal number
-/// within T's range, so the cell fields get cell_from_json's ranges (same
-/// types). Throws JsonError, which the router answers with 400; handlers
-/// parse their path before touching storage.
+/// `text` as a T: the whole string must be a decimal number within T's
+/// range. Throws JsonError naming `what`, which the router answers with
+/// 400; handlers parse their inputs before touching storage.
 template <typename T>
-T path_int(const PathParams& params, const char* key) {
-  const std::string& text = params.at(key);
+T strict_int(const std::string& text, const char* what) {
   const char* end = text.data() + text.size();
   T value{};
   const auto [stop, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || stop != end)
-    throw JsonError(std::string("bad path parameter ") + key + ": " + text);
+    throw JsonError(std::string("bad ") + what + ": " + text);
   return value;
+}
+
+/// Path parameter `key` as a T, parsed by strict_int, so the cell fields
+/// get cell_from_json's ranges (same types).
+template <typename T>
+T path_int(const PathParams& params, const char* key) {
+  return strict_int<T>(params.at(key), key);
+}
+
+/// Query parameter `key` as a T parsed by strict_int; nullopt if absent.
+template <typename T>
+std::optional<T> query_int(const HttpRequest& request, const char* key) {
+  const auto it = request.query.find(key);
+  if (it == request.query.end()) return std::nullopt;
+  return strict_int<T>(it->second, key);
+}
+
+/// The registration session the request claims to act under (0 if the
+/// header is absent), parsed by strict_int.
+std::uint64_t request_session(const HttpRequest& request) {
+  const auto it = request.headers.find(net::kSessionHeader);
+  if (it == request.headers.end()) return 0;
+  return strict_int<std::uint64_t>(it->second, net::kSessionHeader);
 }
 
 }  // namespace
@@ -254,10 +268,9 @@ void CloudInstance::register_routes() {
     if (!authed_user(req))
       return HttpResponse::error(net::kStatusUnauthorized, "invalid token");
     std::size_t n = 5;
-    if (const auto it = req.query.find("n"); it != req.query.end()) {
-      const long long parsed = std::atoll(it->second.c_str());
-      if (parsed > 0) n = static_cast<std::size_t>(parsed);
-    }
+    if (const auto parsed = query_int<std::size_t>(req, "n");
+        parsed && *parsed > 0)
+      n = *parsed;
     Json body = Json::object();
     body.set("slo_threshold_us", config_.slo_wall_us);
     Json violations = Json::object();
@@ -492,12 +505,10 @@ void CloudInstance::register_routes() {
       e.set("use_count", static_cast<std::uint64_t>(r.use_count));
       arr.push_back(std::move(e));
     };
-    const auto from_it = req.query.find("from");
-    const auto to_it = req.query.find("to");
-    if (from_it != req.query.end() && to_it != req.query.end()) {
-      for (std::size_t uid : store.between(
-               static_cast<std::size_t>(std::atoll(from_it->second.c_str())),
-               static_cast<std::size_t>(std::atoll(to_it->second.c_str()))))
+    const auto from = query_int<std::size_t>(req, "from");
+    const auto to = query_int<std::size_t>(req, "to");
+    if (from && to) {
+      for (std::size_t uid : store.between(*from, *to))
         emit(uid, store.routes()[uid]);
     } else {
       for (std::size_t uid = 0; uid < store.routes().size(); ++uid)
@@ -544,9 +555,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    std::optional<core::PlaceUid> place_filter;
-    if (const auto it = req.query.find("place"); it != req.query.end())
-      place_filter = static_cast<core::PlaceUid>(std::atoll(it->second.c_str()));
+    const auto place_filter = query_int<core::PlaceUid>(req, "place");
     Json arr = Json::array();
     const auto locked = storage_.locked_user(user);
     for (const auto& e : locked->encounters) {

@@ -13,7 +13,7 @@ namespace pmware::energy {
 
 /// Location/context interfaces the middleware can sample (paper §1/§2.2.2).
 enum class Interface : std::uint8_t {
-  Gsm = 0,        ///< read serving cell + neighbors from the modem
+  Gsm = 0,        ///< read the serving cell from the modem
   Wifi = 1,       ///< active AP scan
   Gps = 2,        ///< position fix (incl. wake + tracking cost)
   Accelerometer = 3,

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -27,7 +26,7 @@ double unit_gaussian(std::uint64_t bits) {
 // kUnitBound[countl_zero(m + 1)] bounds |unit_gaussian|: u1 lies in the
 // binade [2^(10-clz), 2^(11-clz)), so -2 ln u1 <= 2 ln2 · (clz - 10). The
 // 1e-9 relative slack covers the rounding of log/sqrt/cos, which keeps
-// the cutoff in read_gsm_into exact in floating point. clz >= 10 always;
+// the cutoff in strongest_faded exact in floating point. clz >= 10 always;
 // the largest entry, sqrt(106 ln 2) < 8.58, bounds every fade.
 const std::array<double, 64> kUnitBound = [] {
   std::array<double, 64> bound{};
@@ -38,6 +37,15 @@ const std::array<double, 64> kUnitBound = [] {
 
 double unit_bound(std::uint64_t bits) {
   return kUnitBound[std::countl_zero(u1_mantissa(bits))];
+}
+
+std::size_t radio_index(world::Radio radio) {
+  return static_cast<std::size_t>(radio);
+}
+
+world::Radio other_radio(world::Radio radio) {
+  return radio == world::Radio::Gsm2G ? world::Radio::Umts3G
+                                      : world::Radio::Gsm2G;
 }
 
 }  // namespace
@@ -60,8 +68,6 @@ Device::Device(std::shared_ptr<const world::World> world, PositionOracle oracle,
   if (!std::isfinite(config_.fading_sigma_db) || config_.fading_sigma_db < 0)
     throw std::invalid_argument(
         "DeviceConfig: fading_sigma_db must be finite and >= 0");
-  if (config_.max_neighbors < 0)
-    throw std::invalid_argument("DeviceConfig: max_neighbors must be >= 0");
 }
 
 double Device::fade_db(SimTime t, const world::CellId& cell) const {
@@ -81,6 +87,18 @@ const std::vector<world::HeardCell>& Device::cell_env(const geo::LatLng& pos) {
   }
   world_->hearable_cells_into(pos, cell_env_, config_.fading_sigma_db * 2);
   cell_env_pos_ = pos;
+  for (RadioLayer& layer : layers_) {
+    layer.heard.clear();
+    layer.key.clear();
+    layer.rssi.clear();
+  }
+  for (std::uint32_t i = 0; i < cell_env_.size(); ++i) {
+    const world::HeardCell& h = cell_env_[i];
+    RadioLayer& layer = layers_[radio_index(h.cell.radio)];
+    layer.heard.push_back(i);
+    layer.key.push_back(h.cell.key());
+    layer.rssi.push_back(h.rssi_dbm);
+  }
   return cell_env_;
 }
 
@@ -103,111 +121,88 @@ GsmReading Device::read_gsm(SimTime t) {
 
 void Device::read_gsm_into(SimTime t, GsmReading& reading) {
   const geo::LatLng pos = oracle_.position(t);
-  const std::vector<world::HeardCell>& heard = cell_env(pos);
+  const bool dead_zone = cell_env(pos).empty();
 
   reading.t = t;
   reading.serving = world::CellId{};
   reading.serving_rssi_dbm = 0;
-  reading.neighbors.clear();
-  if (heard.empty()) {
+  if (dead_zone) {
     // Dead zone: report the last serving cell (phones hold on to it).
-    if (last_serving_) {
-      reading.serving = *last_serving_;
-      reading.serving_rssi_dbm = -110;
-    }
+    hold_last_serving(reading);
     return;
   }
 
   // Occasional preferred-RAT flip models 2G<->3G handoff (load balancing,
   // data-session start/stop) — one driver of the oscillating effect.
   if (rng_.bernoulli(config_.rat_switch_prob))
-    preferred_rat_ = preferred_rat_ == world::Radio::Gsm2G
-                         ? world::Radio::Umts3G
-                         : world::Radio::Gsm2G;
+    preferred_rat_ = other_radio(preferred_rat_);
 
-  // Fade lazily. Besides the last serving cell (faded on its own by the
-  // hysteresis step), the reading depends only on the strongest
-  // preferred-RAT cell and the k = max_neighbors + 1 strongest cells
-  // overall (the neighbour list plus the serving cell it skips; the first
-  // is the any-RAT fallback), all above detection. `heard` is sorted by
-  // pre-fade RSSI, strongest first, and each cell's hash alone bounds its
-  // fade (unit_bound), so a cell whose pre-fade RSSI plus that bound
-  // cannot reach the k-th best faded so far (nor, for a preferred-RAT cell,
-  // the best preferred so far) is skipped without running log/cos; once
-  // not even the largest possible fade can reach, no later cell can. The
-  // result equals fading every heard cell: a skipped cell ranks below k
-  // evaluated ones (or below the best preferred one) or under detection.
-  const double sigma = config_.fading_sigma_db;
-  const double max_fade = sigma * kUnitBound.back();
-  const std::size_t k = static_cast<std::size_t>(config_.max_neighbors) + 1;
+  // Serve the strongest cell in the preferred RAT; fall back to the other
+  // layer when the preferred one is silent.
   const std::uint64_t read_key = this->read_key(t);
-  constexpr double kNone = -std::numeric_limits<double>::infinity();
-  double kth_best = kNone;  // k-th strongest faded so far
-  std::optional<Candidate> best_preferred;
-  top_.clear();  // strongest faded first; ties keep heard order
-  for (const auto& h : heard) {
-    const bool preferred = h.cell.radio == preferred_rat_;
-    const double best_pref = best_preferred ? best_preferred->rssi : kNone;
-    const double floor_pref =
-        std::max(world::kCellDetectionDbm, std::min(kth_best, best_pref));
-    if (h.rssi_dbm + max_fade < floor_pref) break;
-    const std::uint64_t bits = Rng::splitmix64(read_key ^ h.cell.key());
-    const double floor =
-        preferred ? floor_pref : std::max(world::kCellDetectionDbm, kth_best);
-    if (h.rssi_dbm + sigma * unit_bound(bits) < floor) continue;
-    const Candidate c{h.cell, h.rssi_dbm + sigma * unit_gaussian(bits)};
-    if (c.rssi < world::kCellDetectionDbm) continue;
-    if (preferred && c.rssi > best_pref) best_preferred = c;
-    if (c.rssi <= kth_best) continue;
-    const auto weaker = [&](const Candidate& o) { return o.rssi < c.rssi; };
-    top_.insert(std::find_if(top_.begin(), top_.end(), weaker), c);
-    if (top_.size() > k) top_.pop_back();
-    if (top_.size() == k) kth_best = top_.back().rssi;
+  const RadioLayer* layer = &layers_[radio_index(preferred_rat_)];
+  std::optional<Faded> best = strongest_faded(*layer, read_key);
+  if (!best) {
+    layer = &layers_[radio_index(other_radio(preferred_rat_))];
+    best = strongest_faded(*layer, read_key);
   }
-
-  // Serve the strongest cell in the preferred RAT; fall back to any RAT
-  // when the preferred layer is silent.
-  const Candidate* best = best_preferred ? &*best_preferred
-                          : top_.empty() ? nullptr
-                                         : &top_.front();
-  if (best == nullptr) {
-    if (last_serving_) {
-      reading.serving = *last_serving_;
-      reading.serving_rssi_dbm = -110;
-    }
+  if (!best) {
+    hold_last_serving(reading);
     return;
   }
+  const world::CellId& best_cell = cell_env_[layer->heard[best->at]].cell;
+  reading.serving = best_cell;
+  reading.serving_rssi_dbm = best->rssi;
 
   // Reselection hysteresis: keep the previous serving cell unless the
   // challenger is clearly stronger (and the RAT did not just switch).
-  bool keep_previous = false;
-  if (last_serving_ && last_serving_->radio == best->cell.radio &&
-      *last_serving_ != best->cell) {
-    for (const auto& h : heard) {
-      if (h.cell != *last_serving_) continue;
-      const double rssi = h.rssi_dbm + fade_db(t, h.cell);
+  if (last_serving_ && last_serving_->radio == best_cell.radio &&
+      *last_serving_ != best_cell) {
+    const auto it =
+        std::find(layer->key.begin(), layer->key.end(), last_serving_->key());
+    if (it != layer->key.end()) {
+      const auto i = static_cast<std::size_t>(it - layer->key.begin());
+      const double rssi =
+          layer->rssi[i] + config_.fading_sigma_db *
+                               unit_gaussian(Rng::splitmix64(read_key ^ *it));
       if (rssi + config_.reselect_hysteresis_db >= best->rssi &&
           rssi >= world::kCellDetectionDbm) {
-        reading.serving = h.cell;
+        reading.serving = cell_env_[layer->heard[i]].cell;
         reading.serving_rssi_dbm = rssi;
-        keep_previous = true;
       }
-      break;
     }
   }
-  if (!keep_previous) {
-    reading.serving = best->cell;
-    reading.serving_rssi_dbm = best->rssi;
-  }
   last_serving_ = reading.serving;
-  last_serving_rssi_ = reading.serving_rssi_dbm;
+}
 
-  // Neighbour list: the strongest other cells, any RAT, at most
-  // max_neighbors of them.
-  for (const auto& c : top_) {
-    if (reading.neighbors.size() == k - 1) break;
-    if (c.cell != reading.serving) reading.neighbors.push_back(c.cell);
+std::optional<Device::Faded> Device::strongest_faded(
+    const RadioLayer& layer, std::uint64_t read_key) const {
+  // Each cell's hash alone bounds its fade (unit_bound), so a cell whose
+  // pre-fade RSSI plus that bound cannot reach the floor, max(detection,
+  // best so far), is skipped without running log/cos. A skipped cell could
+  // at best tie the best so far, and ties go to the earlier heard cell.
+  // The layer is strongest pre-fade first, so once not even the largest
+  // possible fade reaches the floor, no later cell can either.
+  const double sigma = config_.fading_sigma_db;
+  const double max_fade = sigma * kUnitBound.back();
+  std::optional<Faded> best;
+  double floor = world::kCellDetectionDbm;
+  for (std::size_t i = 0; i < layer.key.size(); ++i) {
+    if (layer.rssi[i] + max_fade < floor) break;
+    const std::uint64_t bits = Rng::splitmix64(read_key ^ layer.key[i]);
+    if (layer.rssi[i] + sigma * unit_bound(bits) < floor) continue;
+    const double rssi = layer.rssi[i] + sigma * unit_gaussian(bits);
+    if (best ? rssi <= floor : rssi < floor) continue;
+    best = Faded{i, rssi};
+    floor = rssi;
   }
+  return best;
+}
+
+void Device::hold_last_serving(GsmReading& reading) const {
+  if (!last_serving_) return;
+  reading.serving = *last_serving_;
+  reading.serving_rssi_dbm = -110;
 }
 
 std::size_t Device::read_gsm_run(

@@ -10,27 +10,32 @@
 // device's fading key, t and the cell — fade_db(t, cell) = σ·z with z a
 // Box-Muller normal on two 53-bit uniforms hashed (splitmix64) from the
 // three, so |z| <= sqrt(106 ln 2) < 8.58. The key is the first 64-bit output
-// of the device's Rng, taken at construction. A GSM read fades only the
-// cells that can change it: heard cells are walked strongest pre-fade
-// first, and a cell whose pre-fade RSSI plus its hash-derived bound cannot
-// reach the serving choice or the top max_neighbors + 1 is skipped without
-// running the transcendentals. The cutoff is exact: every reading equals
-// the one from fading every heard cell with the same fade_db, and no fade
-// depends on the order or number of cells evaluated.
+// of the device's Rng, taken at construction. A GSM read computes only the
+// serving cell and its RSSI. The heard cells are split into one layer per
+// radio, each in heard order (strongest pre-fade first). The read serves
+// the strongest faded cell above detection in the preferred layer, the
+// earlier heard cell on a tie; only when that layer has nothing above
+// detection does it search the other layer the same way (the any-RAT
+// fallback). A cell whose pre-fade RSSI plus its hash-derived bound cannot
+// reach max(detection, best so far) is skipped without running the
+// transcendentals. The cutoff is exact: every reading equals the one from
+// fading every heard cell with the same fade_db, and no fade depends on
+// the order or number of cells evaluated.
 //
 // Hot-path structure: the deterministic part of the radio environment —
 // which towers/APs are hearable at a position and their pre-fading RSSI —
 // is a pure function of the position, and participants dwell at places for
 // most of the day, so the device memoizes it keyed on the exact position
-// and only re-runs the spatial query + path-loss + sort when the position
-// changes. The other stochastic parts (preferred-RAT flips, missed beacons,
-// WiFi/GPS noise) are drawn from the device Rng in the same order with the
-// cache on or off (reuse_world_env), so readings are byte-identical either
-// way. The *_into / *_run entry points reuse caller-owned readings and
+// and only re-runs the spatial query + path-loss + sort (and re-splits the
+// radio layers) when the position changes. The other stochastic parts
+// (preferred-RAT flips, missed beacons, WiFi/GPS noise) are drawn from the
+// device Rng in the same order with the cache on or off (reuse_world_env),
+// so readings are byte-identical either way. The *_into / *_run entry points reuse caller-owned readings and
 // internal scratch buffers: after warmup the per-sample loop performs no
 // heap allocations.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -45,7 +50,6 @@ struct DeviceConfig {
   double fading_sigma_db = 3.0;       ///< per-sample RSSI noise, finite, >= 0
   double reselect_hysteresis_db = 2.0;///< challenger must beat serving by this
   double rat_switch_prob = 0.06;      ///< chance a read flips preferred 2G/3G
-  int max_neighbors = 6;              ///< >= 0
   double wifi_miss_prob = 0.10;       ///< per-AP missed-beacon probability
   double gps_outdoor_valid_prob = 0.97;
   double gps_indoor_valid_prob = 0.55;
@@ -75,7 +79,7 @@ PositionOracle oracle_from_trace(const mobility::Trace& trace);
 class Device {
  public:
   /// Throws std::invalid_argument for a negative or non-finite
-  /// fading_sigma_db or a negative max_neighbors.
+  /// fading_sigma_db.
   Device(std::shared_ptr<const world::World> world, PositionOracle oracle,
          DeviceConfig config, Rng rng);
 
@@ -83,8 +87,7 @@ class Device {
   /// radio-access technology persist between reads.
   GsmReading read_gsm(SimTime t);
 
-  /// Allocation-free read_gsm: refills `out` (including its neighbor list)
-  /// in place, reusing its capacity across calls.
+  /// Allocation-free read_gsm: refills `out` in place.
   void read_gsm_into(SimTime t, GsmReading& out);
 
   /// Runs an active WiFi scan.
@@ -132,12 +135,32 @@ class Device {
   std::uint64_t env_hits() const { return env_hits_; }
 
  private:
-  /// Hearable cells at `pos`, memoized on exact position equality.
+  /// Hearable cells at `pos`, memoized on exact position equality; a miss
+  /// also re-splits layers_.
   const std::vector<world::HeardCell>& cell_env(const geo::LatLng& pos);
   /// Visible APs at `pos`, memoized on exact position equality.
   const std::vector<world::HeardAp>& ap_env(const geo::LatLng& pos);
   /// Hash of (fading key, t) shared by every cell's fade in one read.
   std::uint64_t read_key(SimTime t) const;
+
+  /// The heard cells of one radio, in heard order (strongest pre-fade
+  /// first), as parallel arrays: what a GSM read walks.
+  struct RadioLayer {
+    std::vector<std::uint32_t> heard;  ///< index into cell_env_
+    std::vector<std::uint64_t> key;    ///< CellId::key()
+    std::vector<double> rssi;          ///< pre-fade
+  };
+  /// A cell of a RadioLayer (its position there) and its faded RSSI.
+  struct Faded {
+    std::size_t at;
+    double rssi;
+  };
+  /// The strongest faded cell above detection in `layer`, the earlier
+  /// heard one on a tie; nullopt when none is above detection.
+  std::optional<Faded> strongest_faded(const RadioLayer& layer,
+                                       std::uint64_t read_key) const;
+  /// Dead-zone / nothing-detected reading: the last serving cell at -110.
+  void hold_last_serving(GsmReading& reading) const;
 
   std::shared_ptr<const world::World> world_;
   PositionOracle oracle_;
@@ -146,24 +169,19 @@ class Device {
   std::uint64_t fading_key_ = 0;
   world::Radio preferred_rat_ = world::Radio::Gsm2G;
   std::optional<world::CellId> last_serving_;
-  double last_serving_rssi_ = -999;
 
   // Position-keyed radio-environment caches + stats. The key is the exact
   // position: traces return a constant anchor while dwelling, so equality
   // (not proximity) is the right invalidation rule.
   std::optional<geo::LatLng> cell_env_pos_;
   std::vector<world::HeardCell> cell_env_;
+  std::array<RadioLayer, 2> layers_;  ///< cell_env_ by world::Radio
   std::optional<geo::LatLng> ap_env_pos_;
   std::vector<world::HeardAp> ap_env_;
   std::uint64_t env_queries_ = 0;
   std::uint64_t env_hits_ = 0;
 
   // Per-sample scratch, reused across reads (zero-alloc hot loop).
-  struct Candidate {
-    world::CellId cell;
-    double rssi;
-  };
-  std::vector<Candidate> top_;  ///< a read's max_neighbors + 1 strongest
   GsmReading gsm_scratch_;
   WifiScan wifi_scratch_;
 };

@@ -10,13 +10,13 @@
 
 namespace pmware::sensing {
 
-/// GSM modem state: serving cell plus the neighbor list (paper §2.2.2 tracks
-/// Cell ID, LAC, MNC, MCC continuously).
+/// GSM modem state: the serving cell and its RSSI (paper §2.2.2 tracks the
+/// serving Cell ID, LAC, MNC and MCC continuously; GCA clusters the serving
+/// cell and its oscillation, so the modem's neighbour list is not modelled).
 struct GsmReading {
   SimTime t = 0;
   world::CellId serving;
   double serving_rssi_dbm = 0;
-  std::vector<world::CellId> neighbors;
 };
 
 /// One AP seen in a WiFi scan.

@@ -43,17 +43,6 @@ TEST_F(DeviceFixture, GsmServingIsValidAndStrong) {
   EXPECT_GT(reading.serving_rssi_dbm, world::kCellDetectionDbm - 1);
 }
 
-TEST_F(DeviceFixture, GsmNeighborsExcludeServingAndRespectCap) {
-  DeviceConfig config;
-  config.max_neighbors = 4;
-  Device device = stationary_device(home_, true, config);
-  for (SimTime t = 0; t < minutes(30); t += 60) {
-    const GsmReading reading = device.read_gsm(t);
-    EXPECT_LE(reading.neighbors.size(), 4u);
-    for (const auto& n : reading.neighbors) EXPECT_NE(n, reading.serving);
-  }
-}
-
 TEST_F(DeviceFixture, OscillationEffectWhileStationary) {
   // Paper §2.2.2: the serving cell changes even when the user is still.
   Device device = stationary_device(home_, true);

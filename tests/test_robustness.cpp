@@ -2,6 +2,8 @@
 // gracefully, not collapse, as the environment gets hostile.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -602,6 +604,121 @@ TEST(Robustness, MalformedPathIntegersAnswer400AndStoreNothing) {
   EXPECT_EQ(send(net::Method::Get, "/api/geo/cell/4464/1/1/1", Json()).status,
             net::kStatusOk);
   EXPECT_EQ(stored(), std::make_pair(std::size_t{1}, std::size_t{1}));
+}
+
+// Integer query parameters and the X-PMWare-Session header are parsed like
+// path integers: "from=1x" is not 1, "-1" does not wrap to 2^64-1 and "abc"
+// is not 0. Each malformed or out-of-range value answers 400 counted under
+// its route, and a write or wipe under a malformed session changes nothing.
+TEST(Robustness, MalformedQueryIntegersAnswer400) {
+  cloud::CloudInstance cloud(cloud::CloudConfig{},
+                             cloud::GeoLocationService({}), Rng(1));
+  net::HttpRequest reg;
+  reg.method = net::Method::Post;
+  reg.path = "/api/register";
+  reg.body = Json::object();
+  reg.body.set("imei", "444");
+  reg.body.set("email", "j@k.l");
+  const net::HttpResponse registered = cloud.router().handle(reg);
+  ASSERT_EQ(registered.status, net::kStatusCreated);
+  const auto user =
+      static_cast<world::DeviceId>(registered.body.at("user").as_int());
+  const std::string token = registered.body.at("token").as_string();
+  const auto request = [&](net::Method method, const std::string& path) {
+    net::HttpRequest req;
+    req.method = method;
+    req.path = path;
+    req.headers["Authorization"] = "Bearer " + token;
+    return req;
+  };
+  const auto bad_requests = [](const char* method, const char* route) {
+    return telemetry::registry().counter_value(
+        "cloud_requests_total",
+        {{"method", method}, {"route", route}, {"status", "400"}});
+  };
+  const std::string users = strfmt("/api/users/%u", user);
+  core::PlaceRecord record;
+  record.uid = 5;
+  record.signature = algorithms::WifiSignature{{1, 2}};
+  const auto put_place = [&](const std::string& session) {
+    net::HttpRequest req = request(net::Method::Put, users + "/places/5");
+    req.headers[net::kSessionHeader] = session;
+    req.body = core::to_json(record);
+    return cloud.router().handle(req);
+  };
+  const auto places = [&] {
+    return cloud.storage().locked_user(user)->places.size();
+  };
+
+  const std::vector<std::string> bad = {
+      "1x", "-1", "abc", "", " 1", "18446744073709551616"};  // 2^64
+  struct Case {
+    const char* method;
+    const char* route;
+    std::function<net::HttpResponse(const std::string&)> send;
+  };
+  const std::vector<Case> cases = {
+      {"GET", "/api/users/:id/routes",
+       [&](const std::string& v) {
+         net::HttpRequest req = request(net::Method::Get, users + "/routes");
+         req.query = {{"from", v}, {"to", "2"}};
+         return cloud.router().handle(req);
+       }},
+      {"GET", "/api/users/:id/routes",
+       [&](const std::string& v) {
+         net::HttpRequest req = request(net::Method::Get, users + "/routes");
+         req.query = {{"from", "1"}, {"to", v}};
+         return cloud.router().handle(req);
+       }},
+      {"GET", "/api/users/:id/contacts",
+       [&](const std::string& v) {
+         net::HttpRequest req = request(net::Method::Get, users + "/contacts");
+         req.query = {{"place", v}};
+         return cloud.router().handle(req);
+       }},
+      {"GET", "/tracez",
+       [&](const std::string& v) {
+         net::HttpRequest req = request(net::Method::Get, "/tracez");
+         req.query = {{"n", v}};
+         return cloud.router().handle(req);
+       }},
+      {"PUT", "/api/users/:id/places/:uid", put_place},
+      {"DELETE", "/api/users/:id",
+       [&](const std::string& v) {
+         net::HttpRequest req = request(net::Method::Delete, users);
+         req.headers[net::kSessionHeader] = v;
+         return cloud.router().handle(req);
+       }},
+  };
+  ASSERT_EQ(put_place("1").status, net::kStatusCreated);
+  std::map<std::pair<std::string, std::string>, std::uint64_t> expected;
+  for (const Case& c : cases)
+    expected.try_emplace({c.method, c.route}, bad_requests(c.method, c.route));
+  for (const Case& c : cases) {
+    for (const std::string& value : bad) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.method << " " << c.route << " '" << value << "'");
+      net::HttpResponse response;
+      ASSERT_NO_THROW(response = c.send(value));
+      EXPECT_EQ(response.status, net::kStatusBadRequest);
+      ++expected[{c.method, c.route}];
+    }
+  }
+  for (const auto& [key, count] : expected)
+    EXPECT_EQ(bad_requests(key.first.c_str(), key.second.c_str()), count)
+        << key.first << " " << key.second;
+  EXPECT_EQ(places(), 1u);
+  EXPECT_EQ(cloud.storage().tombstone_session(user), 0u);
+
+  // Well-formed values are served; the session parses as its number.
+  EXPECT_EQ(cases[0].send("1").status, net::kStatusOk);
+  EXPECT_EQ(cases[1].send("2").status, net::kStatusOk);
+  EXPECT_EQ(cases[2].send("5").status, net::kStatusOk);
+  EXPECT_EQ(cases[3].send("3").status, net::kStatusOk);
+  EXPECT_EQ(put_place("7").status, net::kStatusCreated);
+  EXPECT_EQ(cases[5].send("7").status, net::kStatusOk);
+  EXPECT_EQ(cloud.storage().tombstone_session(user), 7u);
+  EXPECT_EQ(put_place("7").status, net::kStatusGone);
 }
 
 }  // namespace
