@@ -13,7 +13,8 @@
 # study-runner battery.
 # The golden-digest gate runs the study at two wave shapes (the default
 # wave, which holds all 4 participants, and --wave 1, a barrier after
-# every participant) against tests/golden/study_digest.txt, then again
+# every participant) against tests/golden/study_digest.txt, and its outbox
+# enqueue count against tests/golden/study_sync.txt, then again
 # under the pinned device-chaos plan (crash/restart injection, privacy
 # wipes, late joins) against tests/golden/study_digest_crash.txt. A churn
 # gate then requires churn's fault plan to give the same sync failures,
@@ -52,6 +53,7 @@ run_suite build "" "$@"
 # (fully on), so the gate also proves telemetry never perturbs the study.
 echo "=== golden study digest (telemetry fully enabled) ==="
 golden_digest="$(cat tests/golden/study_digest.txt)"
+golden_sync="$(cat tests/golden/study_sync.txt)"
 # Both wave shapes must reproduce the committed digest: the default wave
 # admits all 4 participants at once, --wave 1 retires each participant
 # before admitting the next. An empty wave_args means the default wave.
@@ -66,6 +68,16 @@ for wave_args in "" "--wave 1"; do
     exit 1
   fi
   echo "study digest ${actual_digest} matches golden (${wave_name})"
+  # The sync schedule is pinned too: how many work items the PMS dirty
+  # tracking queued (profile days, place upserts, routes, encounters).
+  actual_sync="$(sed -n 's/^ *outbox enqueued: *\([0-9]*\).*/\1/p' \
+      <<<"${study_out}")"
+  if [[ "${actual_sync}" != "${golden_sync}" ]]; then
+    echo "outbox enqueued mismatch (${wave_name}): got" \
+         "'${actual_sync}', expected '${golden_sync}'" >&2
+    exit 1
+  fi
+  echo "outbox enqueued ${actual_sync} matches golden (${wave_name})"
   # Printed, not gated: the request bytes the wire codec put on the wire.
   grep -m1 'wire bytes sent:' <<<"${study_out}" | sed 's/^ *//' || true
 done

@@ -120,6 +120,12 @@ Json to_json(const PlaceRecord& record) {
   return j;
 }
 
+Json place_upload_to_json(const PlaceRecord& record) {
+  PlaceRecord stripped = record;
+  stripped.location.reset();
+  return to_json(stripped);
+}
+
 namespace {
 
 Granularity granularity_from_string(const std::string& s) {
@@ -374,6 +380,37 @@ Json profile_upload_to_json(const MobilityProfile& profile) {
 
   if (!profile.activity.empty()) j.set("activity", to_json(profile.activity));
   return j;
+}
+
+std::uint64_t profile_digest(const MobilityProfile& profile) {
+  using cache::fold;
+  std::uint64_t h = cache::kDigestBasis;
+  fold(h, static_cast<std::uint64_t>(profile.day));
+  fold(h, profile.places.size());
+  for (const auto& v : profile.places) {
+    fold(h, static_cast<std::uint64_t>(v.place));
+    fold(h, static_cast<std::uint64_t>(v.arrival));
+    fold(h, static_cast<std::uint64_t>(v.departure));
+  }
+  fold(h, profile.routes.size());
+  for (const auto& r : profile.routes) {
+    fold(h, r.route_uid);
+    fold(h, static_cast<std::uint64_t>(r.start));
+    fold(h, static_cast<std::uint64_t>(r.end));
+  }
+  fold(h, profile.encounters.size());
+  for (const auto& e : profile.encounters) {
+    fold(h, static_cast<std::uint64_t>(e.contact));
+    fold(h, static_cast<std::uint64_t>(e.place));
+    fold(h, static_cast<std::uint64_t>(e.start));
+    fold(h, static_cast<std::uint64_t>(e.end));
+  }
+  if (!profile.activity.empty()) {
+    fold(h, static_cast<std::uint64_t>(profile.activity.still));
+    fold(h, static_cast<std::uint64_t>(profile.activity.walking));
+    fold(h, static_cast<std::uint64_t>(profile.activity.vehicle));
+  }
+  return h;
 }
 
 Json to_json(const MobilityProfile& profile) {

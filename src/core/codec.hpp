@@ -31,6 +31,10 @@ algorithms::PlaceSignature signature_from_json(const Json& j);
 
 Json to_json(const PlaceRecord& record);
 PlaceRecord place_record_from_json(const Json& j);
+/// The place PUT body: the record without its locally cached location,
+/// which the cloud resolves from the signature on every PUT. fnv1a over its
+/// dump() is the place's sync digest.
+Json place_upload_to_json(const PlaceRecord& record);
 
 /// {t, cell}: one GSM observation, as a route upload carries its cells
 /// (route upload bodies and route_store lines only; a run of observations,
@@ -81,6 +85,9 @@ Json to_json(const MobilityProfile& profile);
 /// names. A request body must not carry a registration-order user id: the
 /// cloud's fault roll hashes body bytes (net::fault_roll).
 Json profile_upload_to_json(const MobilityProfile& profile);
+/// Digest of exactly what profile_upload_to_json() carries (so never
+/// `user`): a profile day is re-PUT when this moves.
+std::uint64_t profile_digest(const MobilityProfile& profile);
 /// `user` is optional (an upload body has none) and defaults to 0.
 MobilityProfile profile_from_json(const Json& j);
 
@@ -92,14 +99,21 @@ std::uint64_t digest_from_hex(const std::string& text);
 /// Content digest of a movement-graph upload — the version of the device's
 /// cached GCA result and the prefix claim of a suffix upload (DESIGN.md
 /// "Content addressing & cache coherence"). Device and cloud must derive it
-/// identically, so both fold the same (t, packed cell) pairs here. Passing
-/// the digest of a prefix as `h` extends it over `observations`.
+/// identically, so both fold the same values here: per observation `t`,
+/// then (mcc, mnc, lac, radio) packed in 16-bit lanes, then `cid` — every
+/// bit of the cell, never the lossy key(). Passing the digest of a prefix
+/// as `h` extends it over `observations`.
 inline std::uint64_t movement_digest(
     std::span<const algorithms::CellObservation> observations,
     std::uint64_t h = cache::kDigestBasis) {
   for (const auto& obs : observations) {
+    const world::CellId& cell = obs.cell;
     cache::fold(h, static_cast<std::uint64_t>(obs.t));
-    cache::fold(h, obs.cell.key());
+    cache::fold(h, (static_cast<std::uint64_t>(cell.mcc) << 48) |
+                       (static_cast<std::uint64_t>(cell.mnc) << 32) |
+                       (static_cast<std::uint64_t>(cell.lac) << 16) |
+                       static_cast<std::uint64_t>(cell.radio));
+    cache::fold(h, cell.cid);
   }
   return h;
 }

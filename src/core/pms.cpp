@@ -46,10 +46,9 @@ constexpr const char* kFailureKinds[] = {"profile", "place", "place_delete",
                                          "route",   "encounter", "label",
                                          "wipe"};
 
-// Digest primitives for dirty detection come from the cache subsystem; the
-// movement digest comes from core/codec, shared with the cloud.
+// Digest primitives come from the cache subsystem; the movement and profile
+// digests come from core/codec, beside the bodies they version.
 using cache::fnv1a;
-using cache::fold;
 constexpr std::uint64_t kDigestBasis = cache::kDigestBasis;
 
 /// Metric-series name of the device GCA result cache.
@@ -329,16 +328,14 @@ void PmwareMobileService::housekeeping(SimTime now) {
 
 void PmwareMobileService::enqueue_sync_work(std::int64_t up_to, SimTime now) {
   // Dirty profile days. Each recluster can refine earlier days' visit logs,
-  // so completed days are re-checked — but only days whose content digest
-  // actually changed are re-PUT, not every day from 0 (the digests come
-  // from one pass over the logs, so a steady-state tick costs O(logs),
-  // not O(days * logs)).
-  day_digest_cache_ = day_digests(up_to);
+  // so every completed day is re-checked, and re-sent only when the digest
+  // of the profile it would PUT moved since its last PUT.
   for (std::int64_t day = 0; day <= up_to; ++day) {
-    const auto& [digest, any] = day_digest_cache_[static_cast<std::size_t>(day)];
-    if (!any) continue;  // empty profile: nothing to PUT (matches old skip)
+    const MobilityProfile profile = profile_for(day);
+    if (profile.empty()) continue;  // nothing to PUT
     const auto it = synced_day_digest_.find(day);
-    if (it != synced_day_digest_.end() && it->second == digest) continue;
+    if (it != synced_day_digest_.end() && it->second == profile_digest(profile))
+      continue;
     enqueue(SyncKind::ProfileDay, static_cast<std::uint64_t>(day), 0, now);
   }
 
@@ -346,9 +343,7 @@ void PmwareMobileService::enqueue_sync_work(std::int64_t up_to, SimTime now) {
   // user may have tagged a label). Dirtiness is the digest of the exact
   // body deliver() would PUT.
   for (const auto& [uid, record] : place_store_.records()) {
-    PlaceRecord stripped = record;
-    stripped.location.reset();
-    const std::uint64_t digest = fnv1a(to_json(stripped).dump());
+    const std::uint64_t digest = fnv1a(place_upload_to_json(record).dump());
     const auto it = synced_place_digest_.find(uid);
     if (it != synced_place_digest_.end() && it->second == digest) continue;
     enqueue(SyncKind::PlaceUpsert, static_cast<std::uint64_t>(uid), 0, now);
@@ -449,20 +444,14 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
                                    static_cast<long long>(day)));
       request.body = profile_upload_to_json(profile);
       const DeliverOutcome outcome = verdict(client_->send(std::move(request)));
-      if (outcome == DeliverOutcome::Gone &&
-          static_cast<std::size_t>(day) < day_digest_cache_.size()) {
-        // Honor the wipe: content the cloud refused under its pre-wipe
-        // session must not be re-uploaded under the fresh one, so pin the
-        // day's digest as synced. Only a genuinely new refinement of the
-        // day (digest change) syncs again.
-        synced_day_digest_[day] =
-            day_digest_cache_[static_cast<std::size_t>(day)].first;
-      }
-      if (outcome != DeliverOutcome::Delivered) return outcome;
+      if (outcome == DeliverOutcome::Failed) return outcome;
+      // Gone honors the wipe: content the cloud refused under its pre-wipe
+      // session must not be re-uploaded under the fresh one, so the day is
+      // pinned as synced too. Only a genuinely new refinement of the day
+      // (digest change) syncs again.
+      synced_day_digest_[day] = profile_digest(profile);
+      if (outcome == DeliverOutcome::Gone) return outcome;
       counter(kProfileSyncs, "mobility-profile days synced to the cloud").inc();
-      if (static_cast<std::size_t>(day) < day_digest_cache_.size())
-        synced_day_digest_[day] =
-            day_digest_cache_[static_cast<std::size_t>(day)].first;
       return DeliverOutcome::Delivered;
     }
     case SyncKind::PlaceUpsert: {
@@ -475,12 +464,10 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       // so cloud state is a pure function of the record content — a
       // replayed upsert after an outage converges to the same bytes as the
       // never-failed run (DESIGN.md "Failure model & recovery").
-      PlaceRecord stripped = *record;
-      stripped.location.reset();
       net::HttpRequest request = entry_request(
           net::Method::Put, strfmt("/api/users/%u/places/%llu", *user_id_,
                                    static_cast<unsigned long long>(uid)));
-      request.body = to_json(stripped);
+      request.body = place_upload_to_json(*record);
       const std::uint64_t digest = fnv1a(request.body.dump());
       const net::HttpResponse response = client_->send(std::move(request));
       if (const DeliverOutcome outcome = verdict(response);
@@ -570,75 +557,6 @@ void PmwareMobileService::record_sync_failure(SyncKind kind, int status,
       .inc();
   telemetry::slog_warn("pms", now, "%s sync failed (status %d); outbox holds %zu",
                        kind_name(kind), status, outbox_.size());
-}
-
-std::vector<std::pair<std::uint64_t, bool>> PmwareMobileService::day_digests(
-    std::int64_t up_to) const {
-  std::vector<std::pair<std::uint64_t, bool>> digests(
-      up_to < 0 ? 0 : static_cast<std::size_t>(up_to) + 1,
-      {kDigestBasis, false});
-  if (digests.empty()) return digests;
-  // One pass over each log, folding every entry into the digests of the
-  // days it contributes to — the same inclusion rules as profile_for():
-  // visits clamp to the day and must meet the dwell minimum; routes and
-  // encounters contribute their unclamped windows to every day they
-  // overlap. Day windows are half-open, so an event's last touched day is
-  // day_of(end - 1) — except zero-length windows, which overlaps() counts
-  // on their single day.
-  const auto touched_days = [&](const TimeWindow& w,
-                                const auto& per_day) {
-    const std::int64_t first = std::max<std::int64_t>(0, day_of(w.begin));
-    const std::int64_t last =
-        std::min(up_to, day_of(std::max(w.end - 1, w.begin)));
-    for (std::int64_t day = first; day <= last; ++day)
-      per_day(day, TimeWindow{start_of_day(day), start_of_day(day + 1)});
-  };
-  for (const auto& visit : engine_.visit_log()) {
-    touched_days(visit.window, [&](std::int64_t day, const TimeWindow& dw) {
-      if (visit.window.overlap_length(dw) < config_.inference.min_visit_dwell)
-        return;
-      auto& [h, any] = digests[static_cast<std::size_t>(day)];
-      fold(h, 1);  // domain tag: visit
-      fold(h, static_cast<std::uint64_t>(visit.uid));
-      fold(h, static_cast<std::uint64_t>(std::max(visit.window.begin, dw.begin)));
-      fold(h, static_cast<std::uint64_t>(std::min(visit.window.end, dw.end)));
-      any = true;
-    });
-  }
-  for (const auto& route : engine_.route_log()) {
-    touched_days(route.window, [&](std::int64_t day, const TimeWindow& dw) {
-      if (!route.window.overlaps(dw)) return;
-      auto& [h, any] = digests[static_cast<std::size_t>(day)];
-      fold(h, 2);  // domain tag: route
-      fold(h, static_cast<std::uint64_t>(route.route_uid));
-      fold(h, static_cast<std::uint64_t>(route.window.begin));
-      fold(h, static_cast<std::uint64_t>(route.window.end));
-      any = true;
-    });
-  }
-  for (const auto& enc : engine_.encounter_log()) {
-    touched_days(enc.window, [&](std::int64_t day, const TimeWindow& dw) {
-      if (!enc.window.overlaps(dw)) return;
-      auto& [h, any] = digests[static_cast<std::size_t>(day)];
-      fold(h, 3);  // domain tag: encounter
-      fold(h, static_cast<std::uint64_t>(enc.contact));
-      fold(h, static_cast<std::uint64_t>(enc.place));
-      fold(h, static_cast<std::uint64_t>(enc.window.begin));
-      fold(h, static_cast<std::uint64_t>(enc.window.end));
-      any = true;
-    });
-  }
-  for (std::int64_t day = 0; day <= up_to; ++day) {
-    const ActivitySummary activity = engine_.activity_for(day);
-    if (activity.empty()) continue;
-    auto& [h, any] = digests[static_cast<std::size_t>(day)];
-    fold(h, 4);  // domain tag: activity
-    fold(h, static_cast<std::uint64_t>(activity.still));
-    fold(h, static_cast<std::uint64_t>(activity.walking));
-    fold(h, static_cast<std::uint64_t>(activity.vehicle));
-    any = true;
-  }
-  return digests;
 }
 
 MobilityProfile PmwareMobileService::profile_for(std::int64_t day) const {
@@ -1009,7 +927,6 @@ bool PmwareMobileService::restore(std::istream& in) {
   upload_digest_ = upload_digest;
   synced_day_digest_ = std::move(synced_days);
   synced_place_digest_ = std::move(synced_places);
-  day_digest_cache_.clear();
 
   telemetry::registry()
       .counter(kRestarts, {{"instance", instance_}, {"mode", "warm"}},
@@ -1043,11 +960,9 @@ bool PmwareMobileService::cold_restart(SimTime now) {
     // These records ARE the cloud's current content: seed the sync marks so
     // re-upserting them verbatim is skipped, and restore with uid
     // continuity so re-discovered signatures converge on their old uids.
-    for (const auto& record : records) {
-      PlaceRecord stripped = record;
-      stripped.location.reset();
-      synced_place_digest_[record.uid] = fnv1a(to_json(stripped).dump());
-    }
+    for (const auto& record : records)
+      synced_place_digest_[record.uid] =
+          fnv1a(place_upload_to_json(record).dump());
     place_store_.restore(std::move(records), 1);
   } else {
     // The cloud's uid range is unknown (outage mid-recovery): park this

@@ -11,7 +11,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cache/digest.hpp"
 #include "core/connected_apps.hpp"
@@ -189,7 +188,7 @@ class PmwareMobileService {
 
   // --- Fault-tolerant sync pipeline (DESIGN.md "Failure model & recovery").
   /// Detects dirty state (changed profile days / place records, new routes
-  /// and encounters) and queues it; refreshes day_digest_cache_.
+  /// and encounters) and queues it.
   void enqueue_sync_work(std::int64_t up_to, SimTime now);
   /// Enqueue with eviction/telemetry bookkeeping.
   void enqueue(SyncKind kind, std::uint64_t key, std::uint64_t key2,
@@ -203,10 +202,6 @@ class PmwareMobileService {
   /// Sends one outbox entry, serializing CURRENT local state.
   DeliverOutcome deliver(const OutboxEntry& entry, SimTime now);
   void record_sync_failure(SyncKind kind, int status, SimTime now);
-  /// Per-day content digests for days [0, up_to], one pass over the logs;
-  /// .second is false for days whose profile would be empty.
-  std::vector<std::pair<std::uint64_t, bool>> day_digests(
-      std::int64_t up_to) const;
 
   PmsConfig config_;
   std::unique_ptr<sensing::Device> device_;
@@ -270,13 +265,11 @@ class PmwareMobileService {
   SyncOutbox outbox_;
   std::size_t routes_enqueued_ = 0;      ///< route_log entries queued so far
   std::size_t encounters_enqueued_ = 0;  ///< encounter_log entries queued
-  /// Content digest of each day's profile / place record as last
-  /// successfully PUT; differences drive re-sync (replaces the old
-  /// "re-PUT everything from day 0 every tick" loop).
+  /// Digest of each day's profile (profile_digest) / place body (fnv1a of
+  /// place_upload_to_json) as last PUT, delivered or refused as Gone; a
+  /// record whose current digest differs is queued again.
   std::map<std::int64_t, std::uint64_t> synced_day_digest_;
   std::map<PlaceUid, std::uint64_t> synced_place_digest_;
-  /// Refreshed by enqueue_sync_work each tick; deliver() records from it.
-  std::vector<std::pair<std::uint64_t, bool>> day_digest_cache_;
 };
 
 }  // namespace pmware::core

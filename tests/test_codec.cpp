@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pmware::core {
@@ -145,6 +147,75 @@ TEST(Codec, ProfileUploadBodyLeavesTheUserToThePath) {
   EXPECT_EQ(decoded.places[0].place, 10u);
 }
 
+TEST(Codec, ProfileDigestCoversExactlyTheUploadBody) {
+  MobilityProfile base;
+  base.user = 3;
+  base.day = 5;
+  base.places = {{10, hours(8), hours(12)}};
+  base.routes = {{100, hours(12), hours(13)}};
+  base.encounters = {{7, 10, hours(9), hours(10)}};
+  base.activity = {hours(20), hours(1), hours(2)};
+
+  // Every field the PUT body emits moves the digest.
+  using Edit = void (*)(MobilityProfile&);
+  const Edit edits[] = {
+      [](MobilityProfile& p) { p.day = 6; },
+      [](MobilityProfile& p) { p.places[0].place = 11; },
+      [](MobilityProfile& p) { p.places[0].arrival += 1; },
+      [](MobilityProfile& p) { p.places[0].departure += 1; },
+      [](MobilityProfile& p) { p.places.push_back(p.places[0]); },
+      [](MobilityProfile& p) { p.routes[0].route_uid = 101; },
+      [](MobilityProfile& p) { p.routes[0].start += 1; },
+      [](MobilityProfile& p) { p.routes[0].end += 1; },
+      [](MobilityProfile& p) { p.routes.clear(); },
+      [](MobilityProfile& p) { p.encounters[0].contact = 8; },
+      [](MobilityProfile& p) { p.encounters[0].place = 11; },
+      [](MobilityProfile& p) { p.encounters[0].start += 1; },
+      [](MobilityProfile& p) { p.encounters[0].end += 1; },
+      [](MobilityProfile& p) { p.activity.still += 1; },
+      [](MobilityProfile& p) { p.activity.walking += 1; },
+      [](MobilityProfile& p) { p.activity.vehicle += 1; },
+      [](MobilityProfile& p) { p.activity = {}; },
+  };
+  for (std::size_t i = 0; i < std::size(edits); ++i) {
+    MobilityProfile edited = base;
+    edits[i](edited);
+    ASSERT_NE(profile_upload_to_json(edited), profile_upload_to_json(base))
+        << "edit " << i;
+    EXPECT_NE(profile_digest(edited), profile_digest(base)) << "edit " << i;
+  }
+
+  // The user rides the request path, not the body, so it is not digested.
+  MobilityProfile other_user = base;
+  other_user.user = 4;
+  EXPECT_EQ(profile_digest(other_user), profile_digest(base));
+
+  // An empty activity (nothing tracked) is left out of the body, and of the
+  // digest the same way, whatever its fields hold.
+  MobilityProfile no_activity = base;
+  no_activity.activity = {};
+  MobilityProfile cancelled = base;
+  cancelled.activity = {hours(1), -hours(1), 0};
+  ASSERT_TRUE(cancelled.activity.empty());
+  EXPECT_FALSE(profile_upload_to_json(cancelled).contains("activity"));
+  EXPECT_EQ(profile_upload_to_json(cancelled),
+            profile_upload_to_json(no_activity));
+  EXPECT_EQ(profile_digest(cancelled), profile_digest(no_activity));
+}
+
+TEST(Codec, PlaceUploadBodyDropsOnlyTheCachedLocation) {
+  PlaceRecord record;
+  record.uid = 4;
+  record.signature = GpsSignature{{28.0, 77.0}, 75};
+  record.label = "home";
+  record.location = geo::LatLng{28.0, 77.0};
+  const Json body = place_upload_to_json(record);
+  EXPECT_FALSE(body.contains("location"));
+  PlaceRecord unlocated = record;
+  unlocated.location.reset();
+  EXPECT_EQ(body, to_json(unlocated));
+}
+
 TEST(Codec, EmptyProfileRoundTrip) {
   MobilityProfile profile;
   profile.user = 1;
@@ -224,6 +295,24 @@ TEST(Codec, ActivityDigestHexAndMovementDigestChain) {
   const std::span<const algorithms::CellObservation> all(log);
   EXPECT_EQ(movement_digest(all.subspan(1), movement_digest(all.first(1))),
             movement_digest(all));
+}
+
+TEST(Codec, MovementDigestSeparatesCellsWithCollidingKeys) {
+  // key() is lossy over the ranges the wire accepts: cid >= 2^25 spills
+  // into lac's bits, and mcc << 52 drops mcc's high bits. The movement
+  // digest folds every bit of the cell, so these pairs must not collide.
+  const std::pair<CellId, CellId> colliding[] = {
+      {CellId{1, 1, 1, 1u << 25}, CellId{1, 1, 1, 0}},
+      {CellId{4500, 10, 101, 7}, CellId{404, 10, 101, 7}},
+  };
+  for (const auto& [a, b] : colliding) {
+    ASSERT_NE(a, b);
+    ASSERT_EQ(a.key(), b.key());
+    const algorithms::CellObservation obs_a{60, a};
+    const algorithms::CellObservation obs_b{60, b};
+    EXPECT_NE(movement_digest({&obs_a, 1}), movement_digest({&obs_b, 1}))
+        << a.to_string() << " vs " << b.to_string();
+  }
 }
 
 TEST(Codec, CellFieldsOutOfRangeThrow) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "cloud/cloud_instance.hpp"
 #include "core/outbox.hpp"
 #include "core/pms.hpp"
@@ -14,6 +18,7 @@
 #include "mobility/schedule.hpp"
 #include "net/client.hpp"
 #include "net/router.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace pmware::net {
 namespace {
@@ -491,6 +496,98 @@ TEST(FaultRecovery, SteadyStateHousekeepingSkipsCleanDays) {
   // occasional recluster-refined re-PUT.
   EXPECT_LT(stats.profile_syncs, static_cast<std::size_t>(kDays) * 4);
   EXPECT_GE(stats.profile_syncs, non_empty_days);
+}
+
+/// Place upserts the cloud applied (PUT /api/users/:id/places/:uid, 201).
+/// Fault-injected rejections are observed under the "<fault>" route, so
+/// they never count here.
+std::uint64_t place_puts_applied() {
+  return telemetry::registry().counter_value(
+      "cloud_requests_total", {{"method", "PUT"},
+                               {"route", "/api/users/:id/places/:uid"},
+                               {"status", "201"}});
+}
+
+struct SyncSchedule {
+  std::size_t profile_syncs = 0;
+  std::size_t outbox_enqueued = 0;
+  std::uint64_t place_puts = 0;
+};
+
+SyncSchedule run_schedule(int days_n, const std::string& fault_spec) {
+  FaultHarness h(days_n, fault_spec);
+  const std::uint64_t puts_before = place_puts_applied();
+  h.run_study(days_n);
+  const PmsStats stats = h.pms->stats();
+  EXPECT_EQ(stats.outbox_pending, 0u);
+  return {stats.profile_syncs, stats.outbox_enqueued,
+          place_puts_applied() - puts_before};
+}
+
+TEST(FaultRecovery, PinnedSyncScheduleMatchesRecordedCounts) {
+  // The dirty set decides every PUT the service sends, so its counts are
+  // pinned exactly. The expected values were taken by compiling this same
+  // test against the commit before profile days were dirtied by the digest
+  // of the profile they send (when a second, hand-written pass over the
+  // logs digested each day): the rule changed, the schedule did not.
+  constexpr int kDays = 4;
+  const SyncSchedule clean = run_schedule(kDays, "");
+  EXPECT_EQ(clean.profile_syncs, 7u);
+  EXPECT_EQ(clean.outbox_enqueued, 29u);
+  EXPECT_EQ(clean.place_puts, 14u);
+
+  const SyncSchedule outage = run_schedule(kDays, "outage=1d..2d");
+  EXPECT_EQ(outage.profile_syncs, 6u);
+  EXPECT_EQ(outage.outbox_enqueued, 26u);
+  EXPECT_EQ(outage.place_puts, 12u);
+}
+
+TEST(FaultRecovery, ForgettingAPlaceReputsExactlyTheDaysThatHeldIt) {
+  constexpr int kDays = 4;
+  FaultHarness h(kDays);
+  h.run_study(kDays);
+  ASSERT_EQ(h.pms->stats().outbox_pending, 0u);
+
+  // Pick the place seen on the fewest (but at least one) days, so the days
+  // that held it and the days that did not are both non-empty.
+  std::map<PlaceUid, std::set<std::int64_t>> days_of_place;
+  for (std::int64_t day = 0; day <= kDays; ++day)
+    for (const auto& entry : h.pms->profile_for(day).places)
+      days_of_place[entry.place].insert(day);
+  ASSERT_FALSE(days_of_place.empty());
+  const auto fewest = std::min_element(
+      days_of_place.begin(), days_of_place.end(),
+      [](const auto& a, const auto& b) {
+        return a.second.size() < b.second.size();
+      });
+  const PlaceUid uid = fewest->first;
+  const std::set<std::int64_t> held = fewest->second;
+  std::size_t non_empty_days = 0;
+  for (std::int64_t day = 0; day <= kDays; ++day)
+    if (!h.pms->profile_for(day).empty()) ++non_empty_days;
+  ASSERT_LT(held.size(), non_empty_days);
+
+  // A housekeeping pass over unchanged logs sends no profile day at all.
+  const std::size_t synced = h.pms->stats().profile_syncs;
+  h.pms->shutdown(days(kDays));
+  ASSERT_EQ(h.pms->stats().profile_syncs, synced);
+
+  ASSERT_TRUE(h.pms->forget_place(uid, days(kDays)));
+  // The cloud scrubbed the place from its stored profiles; the next
+  // housekeeping re-PUTs the local view of exactly the days that held it.
+  h.pms->shutdown(days(kDays));
+  EXPECT_EQ(h.pms->stats().profile_syncs, synced + held.size());
+  EXPECT_EQ(h.pms->stats().outbox_pending, 0u);
+  const auto* user = h.cloud->storage().find_user(*h.pms->user_id());
+  ASSERT_NE(user, nullptr);
+  for (const std::int64_t day : held) {
+    const auto it = user->profiles.find(day);
+    ASSERT_NE(it, user->profiles.end()) << "day " << day;
+    const MobilityProfile local = h.pms->profile_for(day);
+    ASSERT_EQ(it->second.places.size(), local.places.size()) << "day " << day;
+    for (std::size_t i = 0; i < local.places.size(); ++i)
+      EXPECT_EQ(it->second.places[i].place, local.places[i].place);
+  }
 }
 
 }  // namespace
